@@ -56,7 +56,7 @@ def test_scatter_add_rows(benchmark):
 
 def test_scatter_add_rows_unique_fast_path(benchmark):
     # Duplicate-free index batch: PR 2's bincount check short-circuits to
-    # plain fancy-index addition instead of building the CSR selector.
+    # plain fancy-index addition instead of building the sparse selector.
     # Compare against test_scatter_add_rows to see the fast-path margin,
     # and against test_scatter_add_rows_add_at for the np.add.at baseline.
     rng = np.random.default_rng(0)
@@ -75,7 +75,7 @@ def test_scatter_add_rows_unique_fast_path(benchmark):
 
 
 def test_scatter_add_rows_add_at(benchmark):
-    # The np.add.at reference the CSR formulation replaced — kept as a
+    # The np.add.at reference the selector formulation replaced — kept as a
     # baseline so the selector's advantage stays visible in bench output.
     rng = np.random.default_rng(0)
     target = np.zeros((V, D))

@@ -15,8 +15,9 @@ The host block always carries ``cpu_affinity`` (container CPU pinning
 is the usual reason parallel numbers look wrong), and every row records
 ``effective_workers`` — the count the run actually used after
 :func:`repro.parallel.pool.resolve_workers` — next to the requested
-one. Training rows also record the batch kernel the config resolved to
-(``reference`` float64 vs the PR 7 fused float32 kernel).
+one. Training rows also record the batch kernel the trainer built for the
+config (``fused`` float32 for every CBOW negative-sampling run,
+``reference`` for the float64 kernels).
 
 Since PR 6 the report also records ``lifecycle_overhead``: the measured
 cost of the per-batch cooperative cancel poll (``scope.check()`` against
@@ -59,7 +60,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.bench.harness import ExperimentRecord, format_table
-from repro.core.trainer import TrainConfig, resolve_kernel, train_embeddings
+from repro.core.fused import FusedCBOWNegativeSampling
+from repro.core.trainer import TrainConfig, _build_objective, train_embeddings
+from repro.core.vocab import VertexVocab
 from repro.datasets.synthetic import community_benchmark
 from repro.obs.manifest import SCHEMA_VERSION, host_info, load_manifest
 from repro.obs.recorder import ObsConfig, session
@@ -71,6 +74,13 @@ from repro.walks.engine import RandomWalkConfig, generate_walks
 # scripts/perf_guard.py refuses to compare reports across schema
 # versions — a bump would orphan the committed BENCH_PR7.json baseline.
 BENCH_SCHEMA_VERSION = 2
+
+
+def _kernel(config: TrainConfig, corpus) -> str:
+    """The batch kernel the trainer builds for ``config``."""
+    vocab = VertexVocab.from_corpus(corpus)
+    objective = _build_objective(config, vocab, np.random.default_rng(0))
+    return "fused" if isinstance(objective, FusedCBOWNegativeSampling) else "reference"
 
 
 def _observed(manifest_path: Path, run_config: dict):
@@ -165,7 +175,7 @@ def measure(
             {
                 "workers": workers,
                 "effective_workers": resolve_workers(workers),
-                "kernel": resolve_kernel(cfg),
+                "kernel": _kernel(cfg, corpus),
                 "seconds": round(seconds, 4),
                 "epochs_per_sec": round(epochs_run / max(seconds, 1e-9), 3),
                 "words_per_sec": round(

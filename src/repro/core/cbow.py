@@ -6,13 +6,17 @@ Both output layers are provided:
 
 - :class:`CBOWNegativeSampling` — the word2vec default: the center vertex
   is scored against itself plus K noise vertices with logistic loss.
+  This float64 kernel is the test oracle; the trainer runs its float32
+  twin :class:`repro.core.fused.FusedCBOWNegativeSampling` at every
+  worker count.
 - :class:`CBOWHierarchicalSoftmax` — Huffman-tree output layer with
   O(log V) decisions per example.
 
 Each objective owns its parameter matrices and exposes ``batch_step``,
 a single vectorized SGD update over a minibatch of (center, contexts)
-examples (contexts padded with ``-1``). Gradient scatter-adds use
-``np.add.at`` so repeated ids within a batch accumulate correctly.
+examples (contexts padded with ``-1``). Gradient scatter-adds go through
+:func:`repro.core._math.scatter_add_rows` so repeated ids within a batch
+accumulate correctly.
 """
 
 from __future__ import annotations

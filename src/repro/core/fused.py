@@ -1,19 +1,18 @@
 """Fused batched CBOW negative-sampling kernel (float32).
 
-The reference :class:`repro.core.cbow.CBOWNegativeSampling` kernel is the
-reproducibility anchor: float64, einsum-based, collision-avoiding
-negative draws. This module is its throughput-oriented twin, used by the
-multi-worker (Hogwild) trainer where bitwise identity across worker
-counts is already out of contract. The fusions, each measured on the
-bench corpus (see docs/PERFORMANCE.md):
+The trainer's one CBOW negative-sampling kernel: serial, streaming and
+Hogwild runs all build it. The float64
+:class:`repro.core.cbow.CBOWNegativeSampling` stays as the test oracle
+(einsum scoring, collision-avoiding negative draws) and is no longer
+dispatched. The kernel shares its three hot primitives with every other
+objective — :func:`~repro.core._math.masked_context_mean`,
+:func:`~repro.core._math.scatter_add_rows` and
+:meth:`~repro.core.negative.NegativeSampler.sample` — which are
+dtype-preserving, so float32 stays float32 end to end. What is its own
+(see docs/PERFORMANCE.md):
 
-- **float32 weights** — halves the bytes every gather/scatter moves; the
-  training race (Hogwild) is far noisier than the precision loss.
-- **h-trick context mean** — pad slots gather row 0 and one subtraction
-  of ``pad_count * w_in[0]`` fixes the sum, instead of materializing the
-  ``(B, C, d)`` masked product.
-- **alias-table negatives** — one :class:`~repro.walks.alias.AliasTable`
-  draw per batch, O(1) per sample with no ``searchsorted`` and no
+- **float32 weights** — halves the bytes every gather/scatter moves.
+- **plain negative draws** — one sampler draw per batch with no
   collision-avoidance redraw loop (word2vec's C implementation also
   keeps accidental positives; they are harmless noise).
 - **matmul scoring** — ``(B, 1+K, d) @ (B, d, 1)`` batched matmul in
@@ -22,7 +21,7 @@ bench corpus (see docs/PERFORMANCE.md):
 - **preallocated target/label buffers** — reused across batches of the
   same size, so the steady-state loop allocates only the gathers.
 
-The public surface matches the reference kernel exactly —
+The public surface matches the oracle exactly —
 ``batch_step(centers, contexts, lr, rng)``, ``w_in``/``w_out``
 attributes, a ``vectors`` property — so the serial epoch loop and the
 Hogwild worker task drive either kernel unchanged.
@@ -33,47 +32,18 @@ Hogwild worker task drive either kernel unchanged.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
-from repro.core._math import MAX_EXP
-from repro.walks.alias import AliasTable, build_alias
+from repro.core._math import MAX_EXP, masked_context_mean, scatter_add_rows
+from repro.core.negative import NegativeSampler
 
 __all__ = ["FusedCBOWNegativeSampling"]
-
-
-# Float32 twins of the caches in repro.core._math.scatter_add_rows; the
-# selector matrix must match the row-block dtype or scipy promotes the
-# product back to float64.
-_ones_cache = np.empty(0, dtype=np.float32)
-_arange_cache = np.empty(0, dtype=np.int64)
-
-
-def _scatter_add_rows_f32(
-    target: np.ndarray, idx: np.ndarray, rows: np.ndarray
-) -> None:
-    """``target[idx] += rows`` with duplicates accumulated, float32 end to end."""
-    global _ones_cache, _arange_cache
-    n = idx.shape[0]
-    if n == 0:
-        return
-    if int(np.bincount(idx).max()) <= 1:
-        target[idx] += rows
-        return
-    if _ones_cache.shape[0] < n:
-        _ones_cache = np.ones(n, dtype=np.float32)
-        _arange_cache = np.arange(n, dtype=np.int64)
-    selector = sparse.csr_matrix(
-        (_ones_cache[:n], (idx, _arange_cache[:n])), shape=(target.shape[0], n)
-    )
-    target += selector @ rows
 
 
 class FusedCBOWNegativeSampling:
     """CBOW + negative sampling with the fused float32 batch kernel.
 
-    Construction takes the noise *distribution* directly (not a
-    :class:`~repro.core.negative.NegativeSampler`): negatives are drawn
-    from a single alias table over the vocabulary, built once here.
+    Construction takes the noise *distribution* and builds the
+    :class:`~repro.core.negative.NegativeSampler` it draws from once here.
     """
 
     def __init__(
@@ -96,8 +66,7 @@ class FusedCBOWNegativeSampling:
         self.vocab_size = vocab_size
         self.dim = dim
         self.negatives = negatives
-        prob, alias = build_alias(dist)
-        self._noise = AliasTable(prob=prob, alias=alias)
+        self.sampler = NegativeSampler(dist)
         # Same init draw count/order as the reference kernel, cast down.
         self.w_in = (
             ((rng.random((vocab_size, dim)) - 0.5) / dim).astype(np.float32)
@@ -119,24 +88,10 @@ class FusedCBOWNegativeSampling:
         rng: np.random.Generator,
     ) -> float:
         """One SGD step over a minibatch; returns the mean example loss."""
-        w_in, w_out = self.w_in, self.w_out
+        w_out = self.w_out
         batch = centers.shape[0]
-        mask = contexts >= 0
-        counts = mask.sum(axis=1)
-        if np.any(counts == 0):
-            raise ValueError("every example must have at least one context token")
-        safe = np.where(mask, contexts, 0)
-        # h-trick: pad slots gathered row 0, so subtracting pad_count
-        # copies of w_in[0] yields the true context sum.
-        pad = (contexts.shape[1] - counts).astype(np.float32)
-        inv = np.float32(1.0) / counts.astype(np.float32)
-        h = w_in[safe].sum(axis=1)
-        h -= pad[:, None] * w_in[0]
-        h *= inv[:, None]
-
-        negs = self._noise.sample(
-            0, self.vocab_size, rng, shape=(batch, self.negatives)
-        )
+        h, mask, counts = masked_context_mean(self.w_in, contexts)
+        negs = self.sampler.sample((batch, self.negatives), rng)
         if self._targets.shape[0] != batch:
             self._targets = np.empty((batch, 1 + self.negatives), dtype=np.int64)
             self._labels = np.zeros((batch, 1 + self.negatives), dtype=np.float32)
@@ -163,12 +118,14 @@ class FusedCBOWNegativeSampling:
         g = scores
 
         grad_h = (g[:, None, :] @ out_vecs)[:, 0, :]  # before w_out update
-        _scatter_add_rows_f32(
+        scatter_add_rows(
             w_out,
             targets.ravel(),
             (g[:, :, None] * h[:, None, :]).reshape(-1, self.dim),
         )
-        per_ctx = grad_h * inv[:, None]
-        example_of, _slot = np.nonzero(mask)
-        _scatter_add_rows_f32(w_in, contexts[mask], per_ctx[example_of])
+        # Each context token receives grad_h / (#contexts in its example).
+        per_ctx = grad_h / counts[:, None].astype(np.float32)
+        scatter_add_rows(
+            self.w_in, contexts[mask], np.repeat(per_ctx, counts, axis=0)
+        )
         return loss / batch

@@ -25,7 +25,8 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.core.cbow import CBOWHierarchicalSoftmax, CBOWNegativeSampling
+from repro.core.cbow import CBOWHierarchicalSoftmax
+from repro.core.fused import FusedCBOWNegativeSampling
 from repro.core.huffman import build_huffman
 from repro.core.negative import NegativeSampler
 from repro.core.skipgram import SkipGramNegativeSampling
@@ -37,11 +38,10 @@ from repro.walks.corpus import WalkCorpus
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.resilience.supervisor import SupervisorConfig
 
-__all__ = ["TrainConfig", "EmbeddingResult", "train_embeddings", "resolve_kernel"]
+__all__ = ["TrainConfig", "EmbeddingResult", "train_embeddings"]
 
 OBJECTIVES = ("cbow", "skipgram")
 OUTPUT_LAYERS = ("negative", "hierarchical")
-KERNELS = ("auto", "reference", "fused")
 
 TRAINER_CHECKPOINT = "trainer"
 
@@ -71,12 +71,6 @@ class TrainConfig:
     stream_rows: int = 1024
     workers: int = 1
     seed: int | None = None
-    # Which batch kernel to run: "reference" is the float64 einsum kernel
-    # (the bitwise-reproducibility anchor), "fused" the batched float32
-    # kernel (CBOW + negative sampling only; see repro.core.fused), and
-    # "auto" picks fused for multi-worker CBOW/negative runs and the
-    # reference kernel everywhere else — so workers=1 output never moves.
-    kernel: str = "auto"
     shuffle: bool = field(default=True, compare=False)
     # Liveness policy for the Hogwild worker pool, not model identity:
     # excluded from equality and from the resume fingerprint.
@@ -119,14 +113,6 @@ class TrainConfig:
                 "the streaming trainer is single-process; use workers=1 or "
                 "the in-memory (non-streaming) Hogwild path"
             )
-        if self.kernel not in KERNELS:
-            raise ValueError(f"kernel must be one of {KERNELS}")
-        if self.kernel == "fused" and not (
-            self.objective == "cbow" and self.output_layer == "negative"
-        ):
-            raise ValueError(
-                "the fused kernel implements CBOW with negative sampling only"
-            )
 
 
 @dataclass(frozen=True)
@@ -148,27 +134,6 @@ class EmbeddingResult:
         return int(self.vectors.shape[1])
 
 
-def resolve_kernel(config: TrainConfig) -> str:
-    """The batch kernel a config actually runs (``auto`` resolved).
-
-    ``auto`` chooses the fused float32 kernel exactly when the run is
-    multi-worker CBOW with negative sampling — the regime where bitwise
-    identity is already out of contract (Hogwild races) and throughput
-    is the point. Every other configuration — and in particular every
-    ``workers=1`` run — resolves to the float64 reference kernel, which
-    is what keeps the golden pipeline checksum stable.
-    """
-    if config.kernel != "auto":
-        return config.kernel
-    if (
-        config.workers > 1
-        and config.objective == "cbow"
-        and config.output_layer == "negative"
-    ):
-        return "fused"
-    return "reference"
-
-
 def _build_objective(
     config: TrainConfig,
     vocab: VertexVocab,
@@ -178,9 +143,7 @@ def _build_objective(
     if config.output_layer == "hierarchical":
         coding = build_huffman(vocab.counts)
         objective = CBOWHierarchicalSoftmax(vocab.size, config.dim, coding, rng=rng)
-    elif config.objective == "cbow" and resolve_kernel(config) == "fused":
-        from repro.core.fused import FusedCBOWNegativeSampling
-
+    elif config.objective == "cbow":
         objective = FusedCBOWNegativeSampling(
             vocab.size,
             config.dim,
@@ -189,15 +152,13 @@ def _build_objective(
             rng=rng,
         )
     else:
-        sampler = NegativeSampler(vocab.noise_distribution())
-        if config.objective == "cbow":
-            objective = CBOWNegativeSampling(
-                vocab.size, config.dim, sampler, negatives=config.negatives, rng=rng
-            )
-        else:
-            objective = SkipGramNegativeSampling(
-                vocab.size, config.dim, sampler, negatives=config.negatives, rng=rng
-            )
+        objective = SkipGramNegativeSampling(
+            vocab.size,
+            config.dim,
+            NegativeSampler(vocab.noise_distribution()),
+            negatives=config.negatives,
+            rng=rng,
+        )
     if init_vectors is not None:
         init_vectors = np.asarray(init_vectors, dtype=np.float64)
         if init_vectors.shape != (vocab.size, config.dim):
@@ -206,7 +167,7 @@ def _build_objective(
                 f"got {init_vectors.shape}"
             )
         # Cast the warm start to the objective's weight dtype (float32
-        # for the fused kernel); np.array always copies.
+        # for CBOW negative sampling); np.array always copies.
         objective.w_in = np.array(init_vectors, dtype=objective.w_in.dtype)
     return objective
 
@@ -265,8 +226,8 @@ class _TrainerSnapshots:
         ckpt = self.store.load(TRAINER_CHECKPOINT)
         if ckpt is None:
             return None
-        # Preserve the objective's weight dtype (float32 for the fused
-        # kernel, float64 for the reference kernels).
+        # Preserve the objective's weight dtype (float32 for CBOW
+        # negative sampling, float64 for the other objectives).
         objective.w_in = np.ascontiguousarray(
             ckpt.arrays["w_in"], dtype=objective.w_in.dtype
         )
@@ -384,7 +345,11 @@ def train_embeddings(
     trainer (:func:`repro.parallel.hogwild.train_hogwild`): the weight
     matrices move into ``multiprocessing.shared_memory`` and the example
     set is sharded across lock-free SGD worker processes. ``workers=1``
-    always takes this serial path and is bitwise-reproducible.
+    always takes this serial path and is bitwise-reproducible. CBOW with
+    negative sampling trains with the float32
+    :class:`~repro.core.fused.FusedCBOWNegativeSampling` kernel at every
+    worker count, streaming included; skip-gram and hierarchical softmax
+    train in float64.
     """
     from repro.pipeline.context import UNSET, context_from_legacy
 

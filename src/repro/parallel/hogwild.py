@@ -90,7 +90,7 @@ class _EpochTask:
 # Per-process cache of one run's attachments + rebuilt objective, keyed
 # by the four segment names. Persistent-pool workers serve *every* epoch
 # of a run (repro.parallel.persistent), so re-attaching the segments and
-# rebuilding the objective — noise alias table, Huffman coding, a
+# rebuilding the objective — noise guide table, Huffman coding, a
 # throwaway init matrix — once per epoch per worker was pure overhead.
 # A new run allocates fresh segment names, which misses the cache and
 # evicts the stale entry; the underlying attachments are owned by

@@ -199,7 +199,7 @@ def estimate_footprint(
     Sniffs stage configs structurally (a walk config has
     ``walks_per_vertex``; a train config has ``dim`` and ``window``) so
     the estimator needs no import of the stage classes. Estimates are
-    deliberately slightly conservative — float64 reference-kernel sizes,
+    deliberately slightly conservative — float64 weight sizes,
     two resident copies of the walk corpus during the walks→train
     handoff — because the failure mode of underestimating is the OOM
     killer.

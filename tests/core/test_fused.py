@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.cbow import CBOWNegativeSampling
+from repro.core.cbow import CBOWHierarchicalSoftmax, CBOWNegativeSampling
 from repro.core.fused import FusedCBOWNegativeSampling
 from repro.core.negative import NegativeSampler
-from repro.core.trainer import TrainConfig, resolve_kernel, train_embeddings
+from repro.core.skipgram import SkipGramNegativeSampling
+from repro.core.trainer import TrainConfig, _build_objective, train_embeddings
+from repro.core.vocab import VertexVocab
 from repro.walks.corpus import WalkCorpus
 
 
@@ -130,42 +132,41 @@ class TestBatchStep:
 
 
 class TestKernelSelection:
-    def test_auto_resolves_by_workers(self):
-        assert resolve_kernel(TrainConfig(workers=1)) == "reference"
-        assert resolve_kernel(TrainConfig(workers=4)) == "fused"
+    """The trainer builds one CBOW negative-sampling kernel everywhere."""
 
-    def test_auto_never_fused_outside_cbow_negative(self):
-        assert (
-            resolve_kernel(TrainConfig(workers=4, objective="skipgram"))
-            == "reference"
-        )
-        assert (
-            resolve_kernel(TrainConfig(workers=4, output_layer="hierarchical"))
-            == "reference"
-        )
+    @staticmethod
+    def _built(config, rng):
+        vocab = VertexVocab.from_corpus(_corpus(rng))
+        return _build_objective(config, vocab, np.random.default_rng(0))
 
-    def test_explicit_kernel_passes_through(self):
-        assert resolve_kernel(TrainConfig(kernel="fused")) == "fused"
-        assert (
-            resolve_kernel(TrainConfig(workers=4, kernel="reference"))
-            == "reference"
-        )
+    def test_cbow_negative_is_float32_at_every_worker_count(self, rng):
+        for config in (
+            TrainConfig(workers=1),
+            TrainConfig(workers=4),
+            TrainConfig(streaming=True),
+        ):
+            objective = self._built(config, rng)
+            assert isinstance(objective, FusedCBOWNegativeSampling)
+            assert objective.w_in.dtype == np.float32
+            assert objective.w_out.dtype == np.float32
 
-    def test_fused_requires_cbow_negative(self):
-        with pytest.raises(ValueError):
-            TrainConfig(kernel="fused", objective="skipgram")
-        with pytest.raises(ValueError):
-            TrainConfig(kernel="fused", output_layer="hierarchical")
-        with pytest.raises(ValueError):
-            TrainConfig(kernel="bogus")
+    def test_skipgram_and_hierarchical_stay_float64(self, rng):
+        for workers in (1, 4):
+            for field, value, kind in (
+                ("objective", "skipgram", SkipGramNegativeSampling),
+                ("output_layer", "hierarchical", CBOWHierarchicalSoftmax),
+            ):
+                config = TrainConfig(workers=workers, **{field: value})
+                objective = self._built(config, rng)
+                assert isinstance(objective, kind)
+                assert objective.w_in.dtype == np.float64
+                assert objective.w_out.dtype == np.float64
 
 
 class TestTrainerIntegration:
     def test_serial_fused_run_trains(self, rng):
         corpus = _corpus(rng)
-        res = train_embeddings(
-            corpus, TrainConfig(dim=7, epochs=3, seed=0, kernel="fused")
-        )
+        res = train_embeddings(corpus, TrainConfig(dim=7, epochs=3, seed=0))
         assert res.vectors.shape == (12, 7)
         assert res.vectors.dtype == np.float64
         assert np.all(np.isfinite(res.vectors))
@@ -176,17 +177,7 @@ class TestTrainerIntegration:
         init = np.random.default_rng(9).random((12, 7))
         res = train_embeddings(
             corpus,
-            TrainConfig(dim=7, epochs=1, seed=0, kernel="fused"),
+            TrainConfig(dim=7, epochs=1, seed=0),
             init_vectors=init,
         )
         assert np.all(np.isfinite(res.vectors))
-
-    def test_default_workers1_output_unchanged_by_kernel_field(self, rng):
-        """`kernel="auto"` at workers=1 must be bitwise what "reference"
-        gives — the golden-checksum anchor."""
-        corpus = _corpus(rng)
-        auto = train_embeddings(corpus, TrainConfig(dim=6, epochs=2, seed=4))
-        ref = train_embeddings(
-            corpus, TrainConfig(dim=6, epochs=2, seed=4, kernel="reference")
-        )
-        np.testing.assert_array_equal(auto.vectors, ref.vectors)

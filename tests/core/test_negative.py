@@ -70,3 +70,68 @@ class TestSampling:
         s = NegativeSampler(np.ones(7) / 7)
         draws = s.sample(10000, rng)
         assert draws.min() >= 0 and draws.max() < 7
+
+
+def _reference_ids(sampler, u):
+    return np.searchsorted(sampler._cdf, u, side="right")
+
+
+class TestGuideTableLookup:
+    """The guide-table lookup returns exactly what ``searchsorted`` does."""
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 1000, 4099])
+    def test_matches_searchsorted_on_random_distributions(self, rng, size):
+        s = NegativeSampler(rng.random(size) ** 4)
+        u = rng.random(200_000)
+        np.testing.assert_array_equal(s._lookup(u), _reference_ids(s, u))
+
+    def test_matches_unigram_noise(self, rng):
+        counts = rng.zipf(1.5, 5000).astype(np.float64)
+        s = NegativeSampler(counts**0.75)
+        u = rng.random(1_000_000)
+        np.testing.assert_array_equal(s._lookup(u), _reference_ids(s, u))
+
+    def test_long_zero_mass_runs(self, rng):
+        # Vertices that never appear in the corpus have zero noise mass:
+        # long runs of equal CDF entries pile into single buckets.
+        dist = np.zeros(50_000)
+        dist[[0, 17, 20_000, 20_001, 49_000]] = [0.3, 0.1, 0.2, 0.25, 0.15]
+        s = NegativeSampler(dist)
+        u = np.concatenate([rng.random(200_000), s._cdf, np.nextafter(s._cdf, 0)])
+        u = u[u < 1.0]
+        ids = s._lookup(u)
+        np.testing.assert_array_equal(ids, _reference_ids(s, u))
+        assert set(np.unique(ids)) <= {0, 17, 20_000, 20_001, 49_000}
+        # A bisection: steps bounded by log2 of the widest bucket, not
+        # a walk across the ~30k-wide zero-mass run.
+        widest = int(np.diff(s._guide).max())
+        assert widest > 10_000
+        assert len(s._steps) <= int(np.ceil(np.log2(widest + 1)))
+
+    def test_leading_and_trailing_zero_mass(self, rng):
+        dist = np.concatenate([np.zeros(300), rng.random(40), np.zeros(700)])
+        s = NegativeSampler(dist)
+        u = rng.random(100_000)
+        np.testing.assert_array_equal(s._lookup(u), _reference_ids(s, u))
+
+    def test_edge_uniforms(self, rng):
+        s = NegativeSampler(rng.random(1000))
+        below_one = np.nextafter(1.0, 0.0) - np.arange(64) * 2.0**-53
+        edges = np.arange(s._buckets) / s._buckets
+        u = np.concatenate([
+            [0.0, 2.0**-60],
+            below_one,
+            edges,
+            np.nextafter(edges[1:], 0.0),
+            s._cdf[:-1],
+            np.nextafter(s._cdf[:-1], 0.0),
+        ])
+        np.testing.assert_array_equal(s._lookup(u), _reference_ids(s, u))
+        assert s._lookup(below_one).max() < s.vocab_size
+
+    def test_sample_equals_searchsorted_on_same_uniforms(self, rng):
+        s = NegativeSampler(rng.random(300))
+        draws = s.sample((40, 5), np.random.default_rng(4))
+        u = np.random.default_rng(4).random((40, 5))
+        np.testing.assert_array_equal(draws, _reference_ids(s, u))
+        assert draws.dtype == np.int64
