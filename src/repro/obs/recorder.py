@@ -362,7 +362,7 @@ class _WorkerProfileScope:
             os.environ[key] = value
         # Existing pooled workers predate the env export; refork them so
         # every worker of this run samples itself.
-        from repro.parallel.persistent import shutdown_pools
+        from repro.parallel.pool import shutdown_pools
 
         shutdown_pools()
 

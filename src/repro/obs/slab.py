@@ -34,9 +34,9 @@ __all__ = ["MetricsSlab", "MetricsSlabSpec", "HOGWILD_SLOTS", "SUPERVISOR_SLOTS"
 # (``repro top``) can age each row without any extra IPC.
 HOGWILD_SLOTS = ("batches", "examples", "loss_sum", "epoch", "cancel", "updated")
 
-# Slot layout used by the worker supervisor's liveness rows: the last
-# heartbeat timestamp (time.monotonic), items completed, total beats.
-SUPERVISOR_SLOTS = ("heartbeat", "items_done", "beats")
+# Slot layout of a supervised map's liveness rows: the last heartbeat
+# timestamp (time.monotonic) and the total beats.
+SUPERVISOR_SLOTS = ("heartbeat", "beats")
 
 
 @dataclass(frozen=True)

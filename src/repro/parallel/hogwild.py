@@ -28,9 +28,10 @@ reproducible — only statistically so. See docs/PERFORMANCE.md.
 
 Fault tolerance: epochs run through
 :func:`repro.parallel.pool.parallel_map`, so a worker killed mid-epoch is
-retried in a fresh pool (its shard is partially re-applied — benign for
-Hogwild, same class of race as normal operation) and ultimately degrades
-to in-process execution. Shared segments are owned by a
+respawned and its shard requeued (partially re-applied — benign for
+Hogwild, same class of race as normal operation); a pool that keeps
+losing workers degrades to fewer workers and finally to in-process
+execution. Shared segments are owned by a
 :func:`repro.parallel.shm.shared_arrays` scope and are unlinked on every
 exit path, including exceptions and injected worker death.
 """
@@ -89,7 +90,7 @@ class _EpochTask:
 
 # Per-process cache of one run's attachments + rebuilt objective, keyed
 # by the four segment names. Persistent-pool workers serve *every* epoch
-# of a run (repro.parallel.persistent), so re-attaching the segments and
+# of a run (repro.parallel.pool), so re-attaching the segments and
 # rebuilding the objective — noise guide table, Huffman coding, a
 # throwaway init matrix — once per epoch per worker was pure overhead.
 # A new run allocates fresh segment names, which misses the cache and

@@ -260,7 +260,7 @@ atexit.register(_sweep_owned_segments)
 
 
 # ----------------------------------------------------------------------
-# Attachment cache: long-lived pool workers (repro.parallel.persistent)
+# Attachment cache: long-lived pool workers (repro.parallel.pool)
 # attach the same segments once per *run*, not once per task. Keyed by
 # segment name — names are unique per creation, so a hit can never alias
 # a different array. Bounded FIFO: evicted (and stale) attachments are

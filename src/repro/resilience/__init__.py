@@ -11,10 +11,11 @@ above uses to survive partial failure:
   rename`` snapshots of numpy state with embedded SHA-256/CRC32
   integrity records, a typed :class:`CheckpointCorrupt` error, and a
   :class:`CheckpointManager` that quarantines corrupt files on resume.
-- :mod:`repro.resilience.supervisor` — self-healing parallel maps:
-  per-worker shared-memory heartbeats, a watchdog that kills and
-  respawns dead *and hung* workers, straggler timeouts, and a degrade
-  ladder that ends at serial execution (:func:`supervised_map`).
+- :mod:`repro.resilience.supervisor` — the liveness policy
+  (:class:`SupervisorConfig`) that ``parallel_map(supervisor=)`` applies
+  to the process pool: per-worker shared-memory heartbeats and a
+  deadline that kills and respawns *hung* workers, plus the in-worker
+  :func:`current_heartbeat` accessor.
 - :mod:`repro.resilience.chaos` — a deterministic fault-injection
   harness (:class:`FaultInjector`: fail / exit / hang / corrupt_file /
   signal / deadline) used by the test suite to prove each recovery path
@@ -29,7 +30,7 @@ above uses to survive partial failure:
   :class:`ResourceBudget` (``--memory-budget`` / ``--disk-budget``),
   preflight footprint estimation with typed :class:`BudgetExceeded`,
   the :class:`PressureWatchdog` daemon, and the pressure degradation
-  ladder (shrink waves → drop pool → halve workers → emergency
+  ladder (shrink waves → pool per map → halve workers → emergency
   checkpoint).
 - :mod:`repro.resilience.registry` — the crash-safe run journal
   (``runs.jsonl``) behind ``repro runs list`` / ``repro runs resume``,
@@ -85,11 +86,7 @@ from repro.resilience.retry import (
     call_with_retry,
     run_with_timeout,
 )
-from repro.resilience.supervisor import (
-    SupervisorConfig,
-    current_heartbeat,
-    supervised_map,
-)
+from repro.resilience.supervisor import SupervisorConfig, current_heartbeat
 
 __all__ = [
     "RetryPolicy",
@@ -107,7 +104,6 @@ __all__ = [
     "integrity_record",
     "verify_integrity",
     "SupervisorConfig",
-    "supervised_map",
     "current_heartbeat",
     "FaultInjector",
     "InjectedFault",

@@ -20,7 +20,7 @@ and appending ``pressure`` records to the run manifest. On a threshold
 breach it drives the **degradation ladder**:
 
     level 1  shrink walk frontier waves to one chunk at a time
-    level 2  disable the persistent worker pool (frees idle forks + shm)
+    level 2  shut the worker pool down after each map (frees idle forks)
     level 3  halve effective Hogwild map concurrency
     level 4  cancel the run: ``RunInterrupted(reason="resource_pressure")``
 
@@ -33,7 +33,7 @@ structure (shards, per-worker seeds) always follows ``config.workers``.
 
 **Ladder state** (:class:`GuardState`). A process-wide singleton the hot
 paths poll cheaply: the walk engine clamps its wave via
-:func:`clamp_wave`, ``get_pool`` consults :func:`pool_allowed`, the
+:func:`clamp_wave`, ``parallel_map`` consults :func:`pool_allowed`, the
 Hogwild trainer maps with :func:`effective_workers`. All no-ops at
 level 0, which is the only state tests and normal runs ever see unless
 a budget is armed.
@@ -377,7 +377,7 @@ class GuardState:
         if target >= LEVEL_POOL:
             # Frees idle forked workers and their inherited pages now,
             # not at the next map.
-            from repro.parallel.persistent import shutdown_pools
+            from repro.parallel.pool import shutdown_pools
 
             shutdown_pools()
         if on_cancel is not None:
@@ -419,7 +419,11 @@ def clamp_wave(wave: int) -> int:
 
 
 def pool_allowed() -> bool:
-    """Persistent-pool hook: False once the ladder reached level 2."""
+    """Pool hook: False once the ladder reached level 2.
+
+    From then on ``parallel_map`` shuts its pool down after every map,
+    so no forked worker sits idle between maps.
+    """
     return _STATE.level < LEVEL_POOL
 
 

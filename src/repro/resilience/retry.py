@@ -7,9 +7,8 @@ with seeded jitter so two runs of the same seeded job produce the same
 delay schedule — reproducibility extends to the failure path).
 
 :func:`call_with_retry` executes a callable under a policy;
-:func:`run_with_timeout` bounds a call's wall time. Both are used by
-:func:`repro.parallel.pool.parallel_map` and are available to any
-pipeline stage.
+:func:`run_with_timeout` bounds a call's wall time. Both are available
+to any pipeline stage.
 """
 
 from __future__ import annotations

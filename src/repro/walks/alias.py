@@ -39,8 +39,6 @@ class AliasTable:
         starts: np.ndarray,
         degrees: np.ndarray,
         rng: np.random.Generator,
-        *,
-        shape: tuple[int, ...] | None = None,
     ) -> np.ndarray:
         """Sample one arc index per draw, for draws of any shape.
 
@@ -49,16 +47,11 @@ class AliasTable:
         starts:
             CSR row start for each sample (``indptr[v]``). Scalars and
             arrays of any shape are accepted; ``starts`` and ``degrees``
-            broadcast against each other (and against ``shape``).
+            broadcast against each other.
         degrees:
             Row lengths; must be positive for every entry.
         rng:
             Source of randomness.
-        shape:
-            Optional explicit output shape. Required when both
-            ``starts`` and ``degrees`` are scalars and more than one
-            draw is wanted — e.g. ``(batch, negatives)`` draws from a
-            single table. Must broadcast with the input shapes.
 
         Returns
         -------
@@ -68,9 +61,7 @@ class AliasTable:
         """
         starts = np.asarray(starts, dtype=np.int64)
         degrees = np.asarray(degrees, dtype=np.int64)
-        out_shape = np.broadcast_shapes(
-            starts.shape, degrees.shape, () if shape is None else tuple(shape)
-        )
+        out_shape = np.broadcast_shapes(starts.shape, degrees.shape)
         u = rng.random(out_shape)
         slots = (u * degrees).astype(np.int64)
         # Guard the (measure-zero, float-rounding) case slot == degree.

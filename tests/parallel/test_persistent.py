@@ -1,4 +1,4 @@
-"""Tests for the persistent fork-once worker pool."""
+"""Tests for the fork-once worker pool and its one-owner contract."""
 
 import os
 import threading
@@ -6,13 +6,14 @@ import time
 
 import pytest
 
-from repro.parallel.persistent import (
+from repro.parallel.pool import (
     PersistentPool,
     PersistentPoolBroken,
     get_pool,
-    persistent_pool_enabled,
+    parallel_map,
     shutdown_pools,
 )
+from repro.resilience.supervisor import SupervisorConfig
 
 pytestmark = pytest.mark.skipif(
     not hasattr(os, "fork"), reason="pool requires fork"
@@ -53,6 +54,14 @@ def _exit_always(item):
 def _sleep_then_double(x):
     time.sleep(0.05)
     return 2 * x
+
+
+def _pid_exists(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 @pytest.fixture()
@@ -98,7 +107,9 @@ class TestWorkerDeath:
     def test_repeated_deaths_break_the_pool_with_partials(self, pool):
         items = [0, 1, 2, "die"]
         with pytest.raises(PersistentPoolBroken) as exc_info:
-            pool.map(_exit_always, items, max_attempts=2)
+            pool.map(
+                _exit_always, items, supervisor=SupervisorConfig(max_respawns=1)
+            )
         partial = exc_info.value.partial
         assert partial, "expected completed items to be preserved"
         for idx, value in partial.items():
@@ -116,37 +127,53 @@ class TestLifecycle:
         with pytest.raises(PersistentPoolBroken):
             p.map(_double, [1])
 
-    def test_shutdown_from_another_thread_mid_map(self):
+    @pytest.mark.parametrize("delay", [0, 0.02, 0.1, 0.3])
+    def test_shutdown_from_another_thread_mid_map(self, delay):
         """The pressure watchdog shuts pools down while a map is live.
 
-        The map must surface ``PersistentPoolBroken`` (so callers fall
-        back down the executor ladder) rather than hanging or leaking
-        respawned workers that outlive the pool.
+        The map must surface ``PersistentPoolBroken`` and nothing else
+        (so ``parallel_map`` degrades instead of crashing), and
+        ``shutdown()`` must not return while any worker is alive — no
+        grace period: the pids are checked the moment it returns.
         """
         p = PersistentPool(2)
-        killer = threading.Timer(0.1, p.shutdown)
+        pids = [w.process.pid for w in p._workers]
+        survivors: list[int] = []
+
+        def shut_down():
+            p.shutdown()
+            survivors.extend(pid for pid in pids if _pid_exists(pid))
+
+        killer = threading.Timer(delay, shut_down)
         killer.start()
         try:
-            with pytest.raises(PersistentPoolBroken):
-                # Enough slow items that the shutdown lands mid-map.
-                p.map(_sleep_then_double, list(range(200)))
+            # Enough slow items that the shutdown lands mid-map.
+            p.map(_sleep_then_double, list(range(200)))
+        except BaseException as exc:  # noqa: BLE001 - the type is the check
+            raised = exc
+        else:
+            raised = None
         finally:
-            killer.cancel()
-            p.shutdown()
-        # No respawned orphans: every worker process must be reaped.
-        deadline = time.monotonic() + 5.0
-        for worker in p._pool:
-            worker.process.join(timeout=max(0.0, deadline - time.monotonic()))
-            assert not worker.process.is_alive()
+            killer.join()
+        assert type(raised) is PersistentPoolBroken, repr(raised)
+        assert survivors == [], f"workers alive after shutdown(): {survivors}"
+        assert not p.alive
+
+    def test_parallel_map_completes_across_a_concurrent_shutdown(self):
+        """A pool shut down mid-map costs workers, never items."""
+        get_pool(2)  # fork before the timer starts counting
+        killer = threading.Timer(0.1, shutdown_pools)
+        killer.start()
+        try:
+            out = parallel_map(_sleep_then_double, range(200), workers=2)
+        finally:
+            killer.join()
+            shutdown_pools()
+        assert out == [2 * x for x in range(200)]
 
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError):
             PersistentPool(0)
-
-    def test_env_escape_hatch_disables_get_pool(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PERSISTENT_POOL", "0")
-        assert not persistent_pool_enabled()
-        assert get_pool(2) is None
 
     def test_registry_returns_live_pool_then_replaces_dead_one(self):
         try:

@@ -1,21 +1,20 @@
 """Tests for chunking and parallel map (including failure recovery)."""
 
-import logging
 import os
 import warnings
 
 import numpy as np
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.recorder import Recorder, use
 from repro.parallel.pool import (
-    POOL_RETRY_POLICY,
     chunk_bounds,
     default_workers,
     parallel_map,
     resolve_workers,
 )
 from repro.resilience.chaos import FaultInjector, InjectedFault
-from repro.resilience.retry import RetryPolicy
 
 
 def square(x):
@@ -76,8 +75,8 @@ class TestParallelMap:
 
 
 class TestWorkerCrashRecovery:
-    """Regression: a worker dying mid-map used to raise
-    ``BrokenProcessPool`` and lose every completed chunk."""
+    """Regression: a worker dying mid-map used to break the whole pool
+    and lose every completed chunk."""
 
     def test_killed_worker_is_retried_and_results_stay_ordered(self, tmp_path):
         # Item 3 hard-kills its worker (os._exit — same as OOM/SIGKILL)
@@ -90,24 +89,18 @@ class TestWorkerCrashRecovery:
         assert out == [x * x for x in range(8)]
         assert (tmp_path / "fired").exists()  # the fault really fired
 
-    def test_persistently_broken_pool_degrades_to_serial(self, caplog):
-        # Every worker process dies on its first call; after the retry
-        # budget the map must fall back to in-process execution with a
-        # structured warning event instead of crashing.
+    def test_persistently_broken_pool_degrades_to_serial(self):
+        # Every worker process dies on its first call; after the respawn
+        # budget the map must fall back to in-process execution, counted
+        # in the manifest, instead of crashing.
         chaotic = FaultInjector(
             square, exit_on_calls=range(1, 1000), only_in_subprocess=True
         )
-        fast = RetryPolicy(
-            max_attempts=2,
-            base_delay=0.0,
-            jitter=0.0,
-            retry_on=POOL_RETRY_POLICY.retry_on,
-        )
-        with caplog.at_level(logging.WARNING, logger="repro.parallel.pool"):
-            out = parallel_map(chaotic, list(range(6)), workers=2, retry=fast)
+        registry = MetricsRegistry()
+        with use(Recorder(registry)):
+            out = parallel_map(chaotic, list(range(6)), workers=2)
         assert out == [x * x for x in range(6)]
-        events = [getattr(r, "repro_event", None) for r in caplog.records]
-        assert "pool.serial_fallback" in events
+        assert registry.snapshot()["counters"]["supervisor.serial_fallbacks"] == 1
 
     def test_work_function_exception_still_propagates(self, tmp_path):
         chaotic = FaultInjector(square, fail_items=(2,))

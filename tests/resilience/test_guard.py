@@ -241,6 +241,17 @@ class TestLadder:
         guard_state().escalate("test", to_level=LEVEL_POOL)
         assert not pool_allowed()
 
+    def test_pool_rung_shuts_the_pool_down_after_each_map(self):
+        from repro.parallel import pool as pool_mod
+
+        guard_state().escalate("test", to_level=LEVEL_POOL)
+        try:
+            out = pool_mod.parallel_map(abs, [-1, -2, -3], workers=2)
+            assert out == [1, 2, 3]
+            assert not any(p.alive for p in pool_mod._POOLS.values())
+        finally:
+            pool_mod.shutdown_pools()
+
     def test_worker_rung_halves_map_concurrency(self):
         guard_state().escalate("test", to_level=LEVEL_WORKERS)
         assert effective_workers(4) == 2

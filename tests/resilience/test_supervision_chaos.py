@@ -27,7 +27,6 @@ from repro.parallel.hogwild import (
 from repro.pipeline import ExecutionContext
 from repro.resilience.chaos import FaultInjector
 from repro.resilience.supervisor import SupervisorConfig
-from repro.walks import engine
 from repro.walks.engine import RandomWalkConfig, generate_walks
 
 from tests.parallel.test_shm import shm_entries
@@ -129,26 +128,27 @@ class TestHogwildHungWorker:
 
 class TestWalkWorkerKilled:
     def test_killed_chunk_worker_yields_identical_corpus(
-        self, graph, tmp_path, no_leaks, monkeypatch
+        self, graph, tmp_path, no_leaks
     ):
         config = RandomWalkConfig(walks_per_vertex=4, walk_length=20, seed=5)
         baseline = generate_walks(graph, config, workers=2)
 
         manifest_path = tmp_path / "run.json"
-        injector = FaultInjector(
-            engine._chunk_task_shm,
-            exit_on_calls={1},
-            only_in_subprocess=True,
-            once_marker=tmp_path / "fired",
+        # Injected through the context's chaos hook: pool workers receive
+        # the task by reference, so the module global must stay intact.
+        context = ExecutionContext(
+            workers=2,
+            supervisor=SUPERVISED,
+            fault_injector=lambda fn: FaultInjector(
+                fn,
+                exit_on_calls={1},
+                only_in_subprocess=True,
+                once_marker=tmp_path / "fired",
+            ),
         )
-        monkeypatch.setattr(engine, "_chunk_task_shm", injector)
         cfg = ObsConfig(log_level="error", metrics_out=str(manifest_path))
         with session(cfg, run_config={"chaos": "walk-kill"}, stream=io.StringIO()):
-            supervised = generate_walks(
-                graph,
-                config,
-                context=ExecutionContext(workers=2, supervisor=SUPERVISED),
-            )
+            supervised = generate_walks(graph, config, context=context)
 
         assert (tmp_path / "fired").exists(), "fault never fired"
         # Chunk re-execution is idempotent: bitwise-identical corpus.

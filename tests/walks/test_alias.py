@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph.core import Graph
-from repro.walks.alias import AliasTable, build_alias, build_arc_alias
+from repro.walks.alias import build_alias, build_arc_alias
 
 
 class TestBuildAlias:
@@ -114,7 +114,9 @@ class TestBatchedSample:
     def test_shaped_draw_matches_flat_draw(self):
         g = Graph(4, [(0, 1, 1.0), (0, 2, 2.0), (0, 3, 3.0)], directed=True)
         table = build_arc_alias(g.indptr, g.edge_weights)
-        shaped = table.sample(0, 3, np.random.default_rng(9), shape=(32, 5))
+        shaped = table.sample(
+            np.zeros((32, 5), dtype=np.int64), 3, np.random.default_rng(9)
+        )
         flat = table.sample(
             np.zeros(160, dtype=np.int64),
             np.full(160, 3, dtype=np.int64),
@@ -126,7 +128,8 @@ class TestBatchedSample:
     def test_batched_distribution_matches_scalar(self, rng):
         g = Graph(4, [(0, 1, 1.0), (0, 2, 2.0), (0, 3, 3.0)], directed=True)
         table = build_arc_alias(g.indptr, g.edge_weights)
-        picks = g.indices[table.sample(0, 3, rng, shape=(300, 200))]
+        starts = np.zeros((300, 200), dtype=np.int64)
+        picks = g.indices[table.sample(starts, 3, rng)]
         freq = np.bincount(picks.ravel(), minlength=4)[1:] / 60000
         np.testing.assert_allclose(freq, [1 / 6, 2 / 6, 3 / 6], atol=0.02)
 
