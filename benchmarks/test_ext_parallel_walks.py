@@ -12,6 +12,7 @@ import numpy as np
 
 from benchmarks.conftest import emit
 from repro.bench.harness import ExperimentRecord, Timer, format_table
+from repro.context import ExecutionContext
 from repro.datasets.synthetic import community_benchmark
 from repro.walks.engine import RandomWalkConfig, generate_walks
 
@@ -35,7 +36,9 @@ def run(scale) -> list[ExperimentRecord]:
     reference_counts = None
     for workers in WORKER_COUNTS:
         with Timer() as t:
-            corpus = generate_walks(graph, cfg, workers=workers)
+            corpus = generate_walks(
+                graph, cfg, context=ExecutionContext(workers=workers)
+            )
         counts = corpus.token_counts()
         if reference_counts is None:
             reference_counts = counts

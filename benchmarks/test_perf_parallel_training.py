@@ -2,7 +2,7 @@
 
 Measures end-to-end training throughput (epochs/sec) across trainer
 worker counts on one fixed walk corpus, plus walk-generation throughput
-(walks/sec) with the zero-copy shared-memory handoff. The point of
+(walks/sec), where pooled chunks write straight into shared memory. The point of
 record is the measured numbers, not a pass/fail speedup gate: on
 multicore hardware 2 workers land ≥ the serial rate, but CI runners and
 single-core containers legitimately show parallel slowdown (process
@@ -20,6 +20,7 @@ import numpy as np
 
 from benchmarks.conftest import emit
 from repro.bench.harness import ExperimentRecord, Timer, format_table
+from repro.context import ExecutionContext
 from repro.core.trainer import TrainConfig, train_embeddings
 from repro.datasets.synthetic import community_benchmark
 from repro.walks.engine import RandomWalkConfig, generate_walks
@@ -45,7 +46,9 @@ def run(scale) -> list[ExperimentRecord]:
     # Walk stage: serial vs shared-memory parallel transfer.
     for workers in WORKER_COUNTS:
         with Timer() as t:
-            corpus = generate_walks(graph, walk_cfg, workers=workers)
+            corpus = generate_walks(
+                graph, walk_cfg, context=ExecutionContext(workers=workers)
+            )
         records.append(
             ExperimentRecord(
                 params={"stage": "walks", "workers": workers},

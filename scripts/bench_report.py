@@ -32,6 +32,14 @@ against the single-shard corpus (shard layout is runtime policy, never
 model identity) and the frontier-exchange shape (rounds, boundary
 crossings) alongside the timings.
 
+The walk rows are tagged with their stepping ``loop``: ``engine`` rows
+time :func:`~repro.walks.engine.generate_walks` at each worker count,
+and one ``masked`` row times the masked reference loop at one worker
+over the same one-chunk plan, stepper build included — what the
+pre-chunking ``workers=1`` engine ran. ``scripts/perf_guard.py`` keeps
+the worker axis (masked reference over the top-worker pool) apart from
+the loop axis (engine at one worker against the masked reference).
+
 Since PR 9 it also records ``guard_overhead``: one watchdog
 ``poll_once()`` tick (a /proc RSS read plus two ``statvfs`` calls)
 relative to its sample interval, plus the one-shot preflight footprint
@@ -60,6 +68,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.bench.harness import ExperimentRecord, format_table
+from repro.context import ExecutionContext
 from repro.core.fused import FusedCBOWNegativeSampling
 from repro.core.trainer import TrainConfig, _build_objective, train_embeddings
 from repro.core.vocab import VertexVocab
@@ -68,11 +77,21 @@ from repro.obs.manifest import SCHEMA_VERSION, host_info, load_manifest
 from repro.obs.recorder import ObsConfig, session
 from repro.obs.resources import ResourceSnapshot, resource_delta
 from repro.parallel.pool import resolve_workers
-from repro.walks.engine import RandomWalkConfig, generate_walks
+from repro.parallel.seeding import spawn_seeds
+from repro.walks.engine import (
+    PAD,
+    RandomWalkConfig,
+    WalkMode,
+    _make_stepper,
+    _step_walks_masked,
+    _walk_arrays,
+    generate_walks,
+)
 
-# Still v2: PR 10's `shard_walks` section is purely additive, and
-# scripts/perf_guard.py refuses to compare reports across schema
-# versions — a bump would orphan the committed BENCH_PR7.json baseline.
+# Still v2: the `shard_walks` section and the walk rows' `loop` tag
+# are purely additive, and scripts/perf_guard.py refuses to compare
+# reports across schema versions — a bump would orphan the committed
+# BENCH_PR7.json baseline.
 BENCH_SCHEMA_VERSION = 2
 
 
@@ -115,15 +134,16 @@ def measure(
 
     walk_rows = []
     for workers in worker_counts:
+        ctx = ExecutionContext(workers=workers)
         # Unmeasured warm-up: the persistent pool forks its workers on
         # the first map of a run; the bench reports steady-state
         # throughput, which is what every map after the first one sees.
         for _ in range(warmup):
-            generate_walks(graph, walk_cfg, workers=workers)
+            generate_walks(graph, walk_cfg, context=ctx)
         mpath = manifest_dir / f"walks_w{workers}.manifest.json"
         with _observed(mpath, {"stage": "walks", "workers": workers, "n": n}):
             for _ in range(max(repeats, 1)):
-                walks = generate_walks(graph, walk_cfg, workers=workers)
+                walks = generate_walks(graph, walk_cfg, context=ctx)
         manifest = load_manifest(mpath)  # validates REQUIRED_KEYS
         metrics = manifest["metrics"]
         hist = metrics["histograms"]["walks.generate_seconds"]
@@ -133,6 +153,7 @@ def measure(
         walk_rows.append(
             {
                 "workers": workers,
+                "loop": "engine",
                 "effective_workers": resolve_workers(workers),
                 "seconds": round(best, 4),
                 "walks_per_sec": round(walks.num_walks / max(best, 1e-9), 1),
@@ -140,6 +161,10 @@ def measure(
                 "manifest": mpath.name,
             }
         )
+
+    walk_rows.append(
+        _masked_reference_walks(graph, walk_cfg, warmup=warmup, repeats=repeats)
+    )
 
     shard_rows = _shard_walks(
         graph, walk_cfg, worker_counts, manifest_dir,
@@ -228,6 +253,47 @@ def measure(
     }
 
 
+def _masked_reference_walks(
+    graph, walk_cfg, *, warmup: int, repeats: int
+) -> dict:
+    """The masked reference loop at one worker, best of ``repeats``.
+
+    Runs the engine's one-chunk plan (seed ``spawn_seeds(seed, 1)[0]``)
+    through :func:`~repro.walks.engine._step_walks_masked`, timing the
+    stepping-array and stepper build with it, and checks the corpus
+    equals the engine's ``workers=1`` output bit for bit.
+    """
+    starts = np.tile(np.arange(graph.n, dtype=np.int64), walk_cfg.walks_per_vertex)
+
+    def run() -> np.ndarray:
+        arrays, _dense = _walk_arrays(graph, WalkMode(walk_cfg.mode))
+        walks = np.full((starts.shape[0], walk_cfg.walk_length), PAD, np.int64)
+        walks[:, 0] = starts
+        rng = np.random.default_rng(spawn_seeds(walk_cfg.seed, 1)[0])
+        _step_walks_masked(_make_stepper(walk_cfg, arrays), starts, walks, rng)
+        return walks
+
+    for _ in range(warmup):
+        run()
+    times = []
+    for _ in range(max(repeats, 1)):
+        started = time.perf_counter()
+        walks = run()
+        times.append(time.perf_counter() - started)
+    engine = generate_walks(graph, walk_cfg, context=ExecutionContext(workers=1))
+    if not np.array_equal(walks, engine.walks):
+        raise RuntimeError("masked reference loop disagrees with the engine")
+    best = min(times)
+    return {
+        "workers": 1,
+        "loop": "masked",
+        "effective_workers": 1,
+        "seconds": round(best, 4),
+        "walks_per_sec": round(walks.shape[0] / max(best, 1e-9), 1),
+        "repeats": len(times),
+    }
+
+
 def _shard_walks(
     graph, walk_cfg, worker_counts: list[int], manifest_dir: Path, *,
     seed: int, warmup: int, repeats: int, shard_counts: tuple[int, ...] = (1, 4),
@@ -244,7 +310,6 @@ def _shard_walks(
     regressions.
     """
     from repro.graph.store import GraphStore
-    from repro.pipeline import ExecutionContext
     from repro.walks.sharded import generate_walks_sharded
 
     rows = []
@@ -362,7 +427,6 @@ def _guard_overhead(
     from types import SimpleNamespace
 
     from repro.obs.recorder import Recorder, use
-    from repro.pipeline import ExecutionContext
     from repro.resilience.guard import (
         PressureWatchdog,
         ResourceBudget,
@@ -408,9 +472,14 @@ def _guard_overhead(
 def render(report: dict) -> str:
     records = [
         ExperimentRecord(
-            params={"stage": "walks", "workers": row["workers"]},
+            params={
+                "stage": f"walks[{row.get('loop', 'masked')}]",
+                "workers": row["workers"],
+            },
             values={
-                k: v for k, v in row.items() if k not in ("workers", "manifest")
+                k: v
+                for k, v in row.items()
+                if k not in ("workers", "loop", "manifest")
             },
         )
         for row in report["walk_generation"]

@@ -45,7 +45,6 @@ from repro.obs.manifest import load_manifest
 from repro.obs.recorder import ObsConfig, session
 from repro.parallel.hogwild import (
     hogwild_epoch_task,
-    hogwild_supported,
     train_hogwild,
 )
 from repro.pipeline import ExecutionContext
@@ -85,7 +84,11 @@ def _run_scenario(name, corpus, out_dir, scratch, **fault_kwargs):
         log_level="error", log_json=str(events), metrics_out=str(manifest)
     )
     with session(cfg, run_config={"chaos": name}, stream=io.StringIO()):
-        result = train_hogwild(corpus, _train_config(), task_fn=injector)
+        result = train_hogwild(
+            corpus,
+            _train_config(),
+            context=ExecutionContext(fault_injector=lambda _fn: injector),
+        )
 
     failures = []
     if not marker.exists():
@@ -268,10 +271,6 @@ def main(argv=None) -> int:
         help="where JSONL event streams and manifests are written",
     )
     args = parser.parse_args(argv)
-
-    if not hogwild_supported():
-        print("[chaos-smoke] no shared memory on this platform; skipping")
-        return 0
 
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -63,7 +63,6 @@ from repro.obs.manifest import load_manifest
 from repro.obs.recorder import ObsConfig, session
 from repro.parallel.hogwild import (
     hogwild_epoch_task,
-    hogwild_supported,
     train_hogwild,
 )
 from repro.pipeline import ExecutionContext
@@ -320,9 +319,6 @@ def _mem_pressure_scenario(
 
 def _hang_scenario(seed, corpus, scratch, out_dir):
     """Supervised Hogwild worker hangs; the watchdog respawns it."""
-    if not hogwild_supported():
-        print(f"[chaos-soak] seed{seed}.hang: no shared memory; skipped")
-        return []
     failures = []
     label = f"seed{seed}.hang"
     manifest = out_dir / f"seed{seed}.hang.manifest.json"
@@ -343,7 +339,7 @@ def _hang_scenario(seed, corpus, scratch, out_dir):
                 dim=12, epochs=3, batch_size=128, seed=seed,
                 early_stop=False, workers=2, supervisor=SUPERVISED,
             ),
-            task_fn=injector,
+            context=ExecutionContext(fault_injector=lambda _fn: injector),
         )
     if not marker.exists():
         failures.append(f"{label}: fault never fired")

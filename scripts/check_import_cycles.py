@@ -6,23 +6,30 @@ The architecture (docs/architecture.md) is a DAG:
     graph (view/store/partition) → walks → core → pipeline → cli
                                      ↑________tasks/community/viz
 
+with ``repro.context`` (the ``ExecutionContext``) below the engines,
+on top of ``repro.obs`` / ``repro.parallel`` / ``repro.resilience``.
+
 ``repro.graph.store`` / ``repro.graph.partition`` may depend on the
 graph core and on ``repro.resilience`` (integrity records), but never on
 ``repro.walks`` or ``repro.pipeline`` — the out-of-core substrate must
 stay consumable by every engine above it.
 
-Two classes of violation are checked, on *module-level* imports only
-(``import x`` / ``from x import y`` at the top of the file, outside
-``if TYPE_CHECKING:`` blocks). Function-local imports are exempt by
-design — that is exactly how the deprecation shims in ``walks.engine``
-and ``core.trainer`` reach ``repro.pipeline`` without a cycle.
+Most rules check *module-level* imports only (``import x`` /
+``from x import y`` at the top of the file, outside
+``if TYPE_CHECKING:`` blocks); function-local imports are exempt there.
+Rules marked ``any level`` also check every import inside functions and
+classes, so no lazy import can hide the back-edge.
 
 1. ``repro.pipeline`` must not import ``repro.cli`` — the pipeline is a
    library layer; the CLI sits on top of it.
-2. ``repro.core``, ``repro.walks``, and ``repro.parallel`` must not
-   import ``repro.pipeline`` — the engines sit *below* the runtime that
-   orchestrates them.
-3. Nothing under ``repro`` imports ``repro.cli`` at module level.
+2. ``repro.walks``, ``repro.parallel`` and ``repro.context`` must not
+   import ``repro.pipeline`` at any level — the engines and their
+   runtime context sit *below* the runtime that orchestrates them.
+   ``repro.core`` keeps the module-level rule only: the ``V2V`` facade
+   in ``core/model.py`` runs a ``Pipeline`` from inside ``fit``.
+3. ``repro.context`` must not import the engines (``repro.walks``,
+   ``repro.core``) at any level.
+4. Nothing under ``repro`` imports ``repro.cli`` at module level.
 
 Run from the repo root: ``python scripts/check_import_cycles.py``.
 Exits 1 with one line per violation.
@@ -36,6 +43,16 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+# Rules whose importing layer is listed here apply to imports at any
+# level; all others to module-level imports only.
+ANY_LEVEL = {
+    ("repro.walks", "repro.pipeline"),
+    ("repro.parallel", "repro.pipeline"),
+    ("repro.context", "repro.pipeline"),
+    ("repro.context", "repro.walks"),
+    ("repro.context", "repro.core"),
+}
+
 # (package prefix of the importing module, forbidden import prefix, why)
 RULES = [
     (
@@ -46,17 +63,32 @@ RULES = [
     (
         "repro.core",
         "repro.pipeline",
-        "engines sit below the pipeline runtime (use function-local imports in shims)",
+        "engines sit below the pipeline runtime (ExecutionContext lives in repro.context)",
     ),
     (
         "repro.walks",
         "repro.pipeline",
-        "engines sit below the pipeline runtime (use function-local imports in shims)",
+        "engines sit below the pipeline runtime (ExecutionContext lives in repro.context)",
     ),
     (
         "repro.parallel",
         "repro.pipeline",
-        "engines sit below the pipeline runtime (use function-local imports in shims)",
+        "the pool sits below the pipeline runtime",
+    ),
+    (
+        "repro.context",
+        "repro.pipeline",
+        "the execution context sits below the pipeline runtime",
+    ),
+    (
+        "repro.context",
+        "repro.walks",
+        "the execution context sits below the walk engines",
+    ),
+    (
+        "repro.context",
+        "repro.core",
+        "the execution context sits below the trainer",
     ),
     (
         "repro.graph.store",
@@ -121,6 +153,28 @@ def module_level_imports(tree: ast.Module) -> list[tuple[int, str]]:
     return found
 
 
+def all_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """(lineno, imported module) pairs for every absolute import in the
+    file, function-local ones included (``TYPE_CHECKING`` bodies still
+    skipped)."""
+    skipped = {
+        id(child)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and _is_type_checking_guard(node)
+        for stmt in node.body
+        for child in ast.walk(stmt)
+    }
+    found: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            found.append((node.lineno, node.module))
+    return found
+
+
 def _in_layer(name: str, prefix: str) -> bool:
     return name == prefix or name.startswith(prefix + ".")
 
@@ -136,14 +190,22 @@ def check() -> list[str]:
         if mod in EXEMPT:
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
-        for lineno, imported in module_level_imports(tree):
+        top_level = set(module_level_imports(tree))
+        for lineno, imported in all_imports(tree):
             for layer, forbidden, why in RULES:
-                if _in_layer(mod, layer) and _in_layer(imported, forbidden):
-                    violations.append(
-                        f"{path.relative_to(SRC.parent)}:{lineno}: "
-                        f"{mod} imports {imported} ({why})"
-                    )
-                    break
+                if not (_in_layer(mod, layer) and _in_layer(imported, forbidden)):
+                    continue
+                if (layer, forbidden) in ANY_LEVEL:
+                    where = "" if (lineno, imported) in top_level else " (local)"
+                elif (lineno, imported) in top_level:
+                    where = ""
+                else:
+                    continue
+                violations.append(
+                    f"{path.relative_to(SRC.parent)}:{lineno}: "
+                    f"{mod} imports {imported}{where} ({why})"
+                )
+                break
     return violations
 
 

@@ -12,11 +12,24 @@ batching exist to provide.
 
 Policy:
 
-- For each stage (``walk_generation``, ``training``), the guard takes
-  the speedup of the highest worker count over workers=1, in both the
-  baseline and the current report, and requires::
+- Worker axis. For each stage (``walk_generation``, ``training``), the
+  guard takes the speedup of the highest worker count over the serial
+  reference, in both the baseline and the current report, and
+  requires::
 
       current_speedup >= baseline_speedup * (1 - tolerance)
+
+  The serial reference is the workers=1 row whose ``loop`` tag is
+  ``masked``; rows without a tag (every training row, and the walk rows
+  of reports written before the tag existed) count as masked. For walks
+  that row times the masked reference stepping loop, which is what the
+  baseline's workers=1 row measured, so the walk gate compares pool
+  against the same serial loop as its baseline did.
+- Loop axis (current report only). The engine's own workers=1 walk row
+  (``loop: engine``) must be no slower than the masked reference:
+  ``masked_seconds / engine_seconds >= 1.0``. At one worker the engine
+  runs the frontier-batched loop whenever no walk can die, so this trips
+  when that fast path stops being taken.
 
 - The default ``--tolerance 0.5`` is deliberately loose — walk waves
   are milliseconds long and shared runners are noisy — so the guard
@@ -63,15 +76,32 @@ def _load(path: Path) -> dict:
     return report
 
 
+def _seconds(report: dict, stage: str, workers: int, loop: str) -> float:
+    for row in report[stage]:
+        if row["workers"] == workers and row.get("loop", "masked") == loop:
+            return float(row["seconds"])
+    raise PerfGuardError(
+        f"perf-guard: no workers={workers} {loop} row in {stage}"
+    )
+
+
 def _speedup(report: dict, stage: str) -> tuple[float, int]:
-    """(serial_seconds / best-parallel seconds, worker count used)."""
-    rows = {row["workers"]: float(row["seconds"]) for row in report[stage]}
-    if 1 not in rows:
-        raise PerfGuardError(f"perf-guard: no workers=1 row in {stage}")
-    top = max(rows)
+    """(masked serial seconds / top-worker seconds, top worker count)."""
+    serial = _seconds(report, stage, 1, "masked")
+    top = max(row["workers"] for row in report[stage])
     if top == 1:
         raise PerfGuardError(f"perf-guard: no multi-worker row in {stage}")
-    return rows[1] / max(rows[top], 1e-12), top
+    top_seconds = min(
+        float(row["seconds"]) for row in report[stage] if row["workers"] == top
+    )
+    return serial / max(top_seconds, 1e-12), top
+
+
+def _loop_ratio(report: dict) -> float:
+    """Masked reference seconds over engine seconds, both at one worker."""
+    masked = _seconds(report, "walk_generation", 1, "masked")
+    engine = _seconds(report, "walk_generation", 1, "engine")
+    return masked / max(engine, 1e-12)
 
 
 def check(baseline: dict, current: dict, tolerance: float) -> list[str]:
@@ -103,6 +133,17 @@ def check(baseline: dict, current: dict, tolerance: float) -> list[str]:
                 f"{stage}: parallel speedup {cur:.3f} fell below "
                 f"{floor:.3f} (baseline {base:.3f} minus {tolerance:.0%})"
             )
+    ratio = _loop_ratio(current)
+    verdict = "ok" if ratio >= 1.0 else "REGRESSED"
+    print(
+        f"  walk_generation loop: masked vs engine at w1 = {ratio:.3f} "
+        f"(floor 1.000) {verdict}"
+    )
+    if ratio < 1.0:
+        failures.append(
+            f"walk_generation: the engine at workers=1 is {ratio:.3f}x the "
+            "speed of the masked reference loop (floor 1.000)"
+        )
     return failures
 
 

@@ -204,8 +204,8 @@ def runtime_from_args(args):
     didn't opt into fall back to their inert defaults, so this is safe to
     call for every subcommand.
     """
+    from repro.context import ExecutionContext
     from repro.parallel.pool import resolve_workers
-    from repro.pipeline.context import ExecutionContext
     from repro.resilience.supervisor import SupervisorConfig
 
     supervisor = None

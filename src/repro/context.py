@@ -1,33 +1,26 @@
-"""ExecutionContext: every runtime concern of a pipeline run, in one value.
+"""ExecutionContext: every runtime concern of a run, in one value.
 
-PRs 1–4 grew four cross-cutting runtime systems — checkpoint/resume,
-worker pools, supervision, telemetry — and each was hand-threaded
-through the stack as its own keyword argument (``checkpoint_dir=``,
-``resume=``, ``workers=``, ``supervisor=``, ``observability=``). The
-:class:`ExecutionContext` replaces that piecemeal plumbing: it is the
-*single* carrier of runtime policy, constructed once at the entry point
-(CLI ``runtime_from_args``, ``V2V.fit``, or directly by a library user)
-and passed whole through every stage.
+Checkpoint/resume, worker counts, supervision, chaos hooks, telemetry,
+cancellation and resource budgets all travel in one
+:class:`ExecutionContext`, constructed once at the entry point (CLI
+``runtime_from_args``, ``V2V.fit``, or directly by a library user) and
+passed whole through every stage and engine.
 
-Crucially, nothing in the context affects *what* is computed — only
-*how*: where checkpoints land, how many processes run, what gets
-supervised, what gets logged. Model identity (dimensions, seeds, walk
-modes) stays in the stage configs (``RandomWalkConfig``/``TrainConfig``),
-so two runs with different contexts but equal configs produce identical
-results.
+Nothing in the context affects *what* is computed — only *how*: where
+checkpoints land, how many processes run, what gets supervised, what
+gets logged. Model identity (dimensions, seeds, walk modes) stays in the
+stage configs (``RandomWalkConfig``/``TrainConfig``), so two runs with
+different contexts but equal configs produce identical results.
 
-Layering note: this module sits *above* ``repro.obs``, ``repro.parallel``
-and ``repro.resilience`` but *below* the stage implementations. The
-low-level engines (``repro.walks.engine``, ``repro.core.trainer``)
-accept a context duck-typed and only import this module lazily inside
-their public compatibility shims — never at module level — which is
-what ``scripts/check_import_cycles.py`` enforces.
+Layering: this module sits above ``repro.obs``, ``repro.parallel`` and
+``repro.resilience`` and *below* the engines (``repro.walks``,
+``repro.core``) and the pipeline runtime, which all import it at module
+level. ``scripts/check_import_cycles.py`` keeps it there.
 """
 
 from __future__ import annotations
 
 import contextlib
-import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterator
@@ -35,9 +28,9 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from repro.obs.recorder import ObsConfig, current_recorder, session
+from repro.parallel.pool import resolve_workers
 from repro.parallel.seeding import spawn_seeds, worker_seed_sequence
-from repro.pipeline.checkpointing import FingerprintedCheckpoints
-from repro.resilience.checkpoint import CheckpointManager
+from repro.resilience.checkpoint import CheckpointManager, FingerprintedCheckpoints
 from repro.resilience.guard import ResourceBudget
 from repro.resilience.lifecycle import (
     CancellationToken,
@@ -48,13 +41,7 @@ from repro.resilience.lifecycle import (
 )
 from repro.resilience.supervisor import SupervisorConfig
 
-__all__ = ["ExecutionContext", "UNSET", "context_from_legacy"]
-
-# Sentinel distinguishing "caller did not pass this legacy kwarg" from
-# every real value (including None and False).
-UNSET: Any = object()
-
-_DEPRECATED_RUNTIME_KWARGS = ("checkpoint_dir", "resume", "supervisor")
+__all__ = ["ExecutionContext"]
 
 
 @dataclass(frozen=True)
@@ -74,7 +61,7 @@ class ExecutionContext:
     resume:
         Reuse compatible checkpoints found under ``checkpoint_dir``
         instead of recomputing. Fingerprint mismatches raise
-        :class:`repro.pipeline.checkpointing.FingerprintMismatch`.
+        :class:`repro.resilience.checkpoint.FingerprintMismatch`.
     workers:
         Process count for parallelizable stages (the walk engine, chunk
         maps). ``None`` or any value < 1 means auto-detect via
@@ -192,8 +179,6 @@ class ExecutionContext:
     # -- workers / supervision / chaos ---------------------------------
     def resolve_workers(self) -> int:
         """The concrete worker count for parallel stages (always >= 1)."""
-        from repro.parallel.pool import resolve_workers
-
         return resolve_workers(self.workers)
 
     def wrap_task(self, fn: Callable) -> Callable:
@@ -277,41 +262,3 @@ def _stable_key(name: str) -> int:
 
     return zlib.crc32(name.encode())
 
-
-def context_from_legacy(
-    context: "ExecutionContext | None",
-    *,
-    stacklevel: int = 3,
-    **legacy: Any,
-) -> "ExecutionContext":
-    """Build the effective context for a public compatibility shim.
-
-    ``legacy`` maps :class:`ExecutionContext` field names to the values
-    of the old per-function keyword arguments, with :data:`UNSET`
-    marking "not passed". Passing both ``context`` and any legacy
-    keyword is an error (the settings would conflict); passing legacy
-    *runtime-threading* keywords (``checkpoint_dir``/``resume``/
-    ``supervisor``) without a context emits the migration
-    ``DeprecationWarning``. ``workers=`` stays warning-free — it is
-    documented shorthand for ``ExecutionContext(workers=...)``.
-    """
-    supplied = {k: v for k, v in legacy.items() if v is not UNSET}
-    if context is not None:
-        if supplied:
-            raise TypeError(
-                "pass runtime settings either via context= or as legacy "
-                f"keyword arguments, not both: {sorted(supplied)} conflict "
-                "with the explicit ExecutionContext"
-            )
-        return context
-    deprecated = sorted(set(supplied) & set(_DEPRECATED_RUNTIME_KWARGS))
-    if deprecated:
-        warnings.warn(
-            f"passing {', '.join(deprecated)} as individual keyword "
-            "arguments is deprecated; build a "
-            "repro.pipeline.ExecutionContext and pass it as context= "
-            "(see docs/architecture.md for the migration note)",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-    return ExecutionContext(**supplied)

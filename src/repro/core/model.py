@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.context import ExecutionContext
 from repro.core.trainer import EmbeddingResult, TrainConfig, train_embeddings
 from repro.graph.core import Graph
 from repro.obs.recorder import ObsConfig, current_recorder
@@ -201,7 +202,7 @@ class V2V:
         resume: bool = False,
         workers: int | None = 1,
     ):
-        """Resolve the :class:`~repro.pipeline.ExecutionContext` to run under.
+        """Resolve the :class:`~repro.context.ExecutionContext` to run under.
 
         Either the caller hands us a prebuilt context, or we assemble one
         from the convenience kwargs — never both. The model config then
@@ -209,8 +210,6 @@ class V2V:
         policy, telemetry, seed), so a bare ``fit(graph)`` still honors
         ``V2VConfig.observability`` and friends.
         """
-        from repro.pipeline.context import ExecutionContext
-
         if context is not None:
             if checkpoint_dir is not None or resume or workers != 1:
                 raise TypeError(
@@ -242,7 +241,7 @@ class V2V:
 
         ``fit`` is a facade over the staged runtime: it executes
         ``Pipeline([WalkStage, TrainStage])`` (:mod:`repro.pipeline`)
-        under one :class:`~repro.pipeline.ExecutionContext`. Pass a
+        under one :class:`~repro.context.ExecutionContext`. Pass a
         prebuilt context via ``context=`` for full control, or use the
         convenience kwargs below (mutually exclusive with ``context=``).
 

@@ -18,13 +18,12 @@ docs/resilience.md).
 from __future__ import annotations
 
 import time
-import warnings
-from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from repro.context import ExecutionContext
 from repro.core.cbow import CBOWHierarchicalSoftmax
 from repro.core.fused import FusedCBOWNegativeSampling
 from repro.core.huffman import build_huffman
@@ -208,7 +207,7 @@ class _TrainerSnapshots:
 
     A thin policy layer (what to store, how often) over the shared
     fingerprinted-slot machinery in
-    :class:`repro.pipeline.checkpointing.FingerprintedCheckpoints` —
+    :class:`repro.resilience.checkpoint.FingerprintedCheckpoints` —
     the fingerprint stamping/verification itself lives there now,
     shared with the walk engine.
     """
@@ -300,19 +299,12 @@ def _train_fingerprint(
     }
 
 
-# Local "not passed" sentinel for the legacy keyword shims (the pipeline
-# layer has its own; this module must not import it at module level).
-_UNSET = object()
-
-
 def train_embeddings(
     corpus: WalkCorpus,
     config: TrainConfig | None = None,
     *,
-    context=None,
+    context: ExecutionContext | None = None,
     init_vectors: np.ndarray | None = None,
-    checkpoint_dir: "str | Path | None" = _UNSET,  # type: ignore[assignment]
-    resume: bool = _UNSET,  # type: ignore[assignment]
     checkpoint_every: int = 1,
     epoch_callback: Callable[[int, float], None] | None = None,
 ) -> EmbeddingResult:
@@ -327,19 +319,16 @@ def train_embeddings(
     :meth:`repro.core.model.V2V.refit` to retrain after small graph
     changes without re-learning from scratch.
 
-    Runtime concerns travel in ``context``
-    (:class:`repro.pipeline.ExecutionContext`): with
-    ``context.checkpoint_dir`` set the trainer snapshots atomically
-    every ``checkpoint_every`` epochs, and with ``context.resume`` an
-    existing snapshot (written by the same config and corpus — anything
-    else raises ``ValueError``) is restored and training continues from
-    the epoch after it, replaying the exact RNG stream of an
-    uninterrupted run. ``epoch_callback(epoch_index, mean_loss)`` fires
-    after each completed epoch (after the snapshot, so a crash inside
-    the callback is itself resumable). The individual
-    ``checkpoint_dir=``/``resume=`` keyword arguments remain accepted
-    for compatibility with a ``DeprecationWarning`` and cannot be
-    combined with ``context``.
+    Runtime concerns travel in ``context`` (an
+    :class:`~repro.context.ExecutionContext`, default
+    ``ExecutionContext()``): with ``context.checkpoint_dir`` set the
+    trainer snapshots atomically every ``checkpoint_every`` epochs, and
+    with ``context.resume`` an existing snapshot (written by the same
+    config and corpus — anything else raises ``ValueError``) is restored
+    and training continues from the epoch after it, replaying the exact
+    RNG stream of an uninterrupted run. ``epoch_callback(epoch_index,
+    mean_loss)`` fires after each completed epoch (after the snapshot,
+    so a crash inside the callback is itself resumable).
 
     ``config.workers > 1`` dispatches to the shared-memory Hogwild
     trainer (:func:`repro.parallel.hogwild.train_hogwild`): the weight
@@ -351,59 +340,21 @@ def train_embeddings(
     worker count, streaming included; skip-gram and hierarchical softmax
     train in float64.
     """
-    from repro.pipeline.context import UNSET, context_from_legacy
-
-    ctx = context_from_legacy(
-        context,
-        checkpoint_dir=UNSET if checkpoint_dir is _UNSET else checkpoint_dir,
-        resume=UNSET if resume is _UNSET else resume,
-    )
-    return _train_embeddings(
-        corpus,
-        config,
-        ctx,
-        init_vectors=init_vectors,
-        checkpoint_every=checkpoint_every,
-        epoch_callback=epoch_callback,
-    )
-
-
-def _train_embeddings(
-    corpus: WalkCorpus,
-    config: TrainConfig | None,
-    ctx,
-    *,
-    init_vectors: np.ndarray | None = None,
-    checkpoint_every: int = 1,
-    epoch_callback: Callable[[int, float], None] | None = None,
-) -> EmbeddingResult:
-    """Context-based trainer entry (``ctx`` is an ExecutionContext)."""
     config = config or TrainConfig()
     # TrainConfig.supervisor predates the context; honor it when the
     # context does not name its own supervision policy.
-    ctx = ctx.with_supervisor(config.supervisor)
+    ctx = (context or ExecutionContext()).with_supervisor(config.supervisor)
     if config.workers > 1:
-        from repro.parallel.hogwild import hogwild_supported, train_hogwild
+        from repro.parallel.hogwild import train_hogwild
 
-        if hogwild_supported():
-            return train_hogwild(
-                corpus,
-                config,
-                context=ctx,
-                init_vectors=init_vectors,
-                checkpoint_every=checkpoint_every,
-                epoch_callback=epoch_callback,
-            )
-        warnings.warn(
-            "shared memory is unavailable on this platform; training "
-            f"serially instead of with {config.workers} workers",
-            RuntimeWarning,
-            stacklevel=2,
+        return train_hogwild(
+            corpus,
+            config,
+            context=ctx,
+            init_vectors=init_vectors,
+            checkpoint_every=checkpoint_every,
+            epoch_callback=epoch_callback,
         )
-        current_recorder().event(
-            "train.serial_fallback", level="warning", workers=config.workers
-        )
-        config = replace(config, workers=1)
     rec = current_recorder()
     with ctx.lifecycle(), rec.span(
         "train.run",

@@ -40,25 +40,20 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
+from repro.context import ExecutionContext
 from repro.obs.recorder import current_recorder
 from repro.obs.slab import HOGWILD_SLOTS, MetricsSlab, MetricsSlabSpec
 from repro.parallel.pool import chunk_bounds, parallel_map
 from repro.resilience.guard import effective_workers
 from repro.parallel.seeding import worker_seed_sequence
 from repro.resilience.lifecycle import current_cancel_scope
-from repro.parallel.shm import SHM_AVAILABLE, SharedArraySpec, shared_arrays
+from repro.parallel.shm import SharedArraySpec, shared_arrays
 
-__all__ = ["train_hogwild", "hogwild_supported", "hogwild_epoch_task"]
-
-
-def hogwild_supported() -> bool:
-    """Whether this platform can run the shared-memory trainer."""
-    return SHM_AVAILABLE
+__all__ = ["train_hogwild", "hogwild_epoch_task"]
 
 
 @dataclass(frozen=True)
@@ -189,33 +184,22 @@ def hogwild_epoch_task(task: _EpochTask) -> tuple[float, int]:
             slab.close()
 
 
-# Local "not passed" sentinel for the legacy keyword shims (the pipeline
-# layer has its own; this module must not import it at module level).
-_UNSET = object()
-
-
 def train_hogwild(
     corpus,
     config=None,
     *,
-    context=None,
+    context: ExecutionContext | None = None,
     init_vectors: np.ndarray | None = None,
-    checkpoint_dir: "str | Path | None" = _UNSET,  # type: ignore[assignment]
-    resume: bool = _UNSET,  # type: ignore[assignment]
     checkpoint_every: int = 1,
     epoch_callback: Callable[[int, float], None] | None = None,
-    task_fn: Callable[[_EpochTask], tuple[float, int]] | None = None,
 ):
     """Train embeddings with shared weights and ``config.workers`` processes.
 
     Same contract as :func:`repro.core.trainer.train_embeddings` (which
     dispatches here for ``workers > 1``): runtime concerns ride in
-    ``context`` (:class:`repro.pipeline.ExecutionContext`), with the
-    individual ``checkpoint_dir=``/``resume=`` keywords kept as
-    deprecated compatibility shims. Additionally accepts ``task_fn`` so
-    the chaos tests can wrap the per-epoch worker task in a
-    :class:`repro.resilience.chaos.FaultInjector` (``context``'s own
-    ``fault_injector`` hook does the same for pipeline-driven runs).
+    ``context`` (an :class:`~repro.context.ExecutionContext`), whose
+    ``fault_injector`` hook wraps the per-epoch worker task (the chaos
+    tests inject a :class:`repro.resilience.chaos.FaultInjector` there).
 
     ``workers=1`` is the deterministic path: it runs the serial epoch
     loop in-process against the shared matrices and produces embeddings
@@ -230,19 +214,11 @@ def train_hogwild(
         _run_dense_epochs,
     )
     from repro.core.vocab import VertexVocab
-    from repro.pipeline.context import UNSET, context_from_legacy
 
-    ctx = context_from_legacy(
-        context,
-        checkpoint_dir=UNSET if checkpoint_dir is _UNSET else checkpoint_dir,
-        resume=UNSET if resume is _UNSET else resume,
-    )
     config = config or TrainConfig()
-    ctx = ctx.with_supervisor(config.supervisor)
+    ctx = (context or ExecutionContext()).with_supervisor(config.supervisor)
     if config.streaming:
         raise ValueError("the Hogwild trainer has no streaming mode")
-    if not hogwild_supported():  # pragma: no cover - exotic platforms
-        raise RuntimeError("shared memory is unavailable on this platform")
 
     # Mirror the serial trainer's setup *exactly* (same RNG call order)
     # so the workers=1 path stays bitwise-identical.
@@ -312,7 +288,6 @@ def train_hogwild(
                 state,
                 checkpointer=checkpointer,
                 epoch_callback=epoch_callback,
-                task_fn=task_fn,
             )
         vectors = objective.vectors.copy()  # escape the scope before unlink
         if rec.enabled:
@@ -345,7 +320,6 @@ def _run_hogwild_epochs(
     *,
     checkpointer,
     epoch_callback,
-    task_fn,
 ) -> float:
     """Epoch loop for ``workers > 1``: fan shards out, barrier per epoch."""
     sh_centers = scope.from_array(np.ascontiguousarray(centers, dtype=np.int64))
@@ -380,7 +354,7 @@ def _run_hogwild_epochs(
     # One picklable entropy for the whole run; workers re-derive their
     # streams from (entropy, epoch, worker) — stable across resume.
     entropy = np.random.SeedSequence(config.seed).entropy
-    task = task_fn or ctx.wrap_task(hogwild_epoch_task)
+    task = ctx.wrap_task(hogwild_epoch_task)
     counts = vocab.counts
 
     if rec.live is not None:

@@ -79,6 +79,9 @@ _UNSUPERVISED = SupervisorConfig()
 # Seconds a worker gets to finish its item and read the stop sentinel
 # before it is SIGKILLed.
 _REAP_GRACE = 1.0
+# Seconds an idle worker waits for work between checks that its parent
+# is still alive.
+_ORPHAN_POLL = 0.25
 
 
 def default_workers() -> int:
@@ -138,8 +141,18 @@ class PersistentPoolBroken(RuntimeError):
         self.partial = partial
 
 
-def _worker_main(conn) -> None:  # pragma: no cover - runs in child processes
-    """Worker loop: one item in, one result out, until the stop sentinel."""
+def _worker_main(conn, parent: int | None) -> None:  # pragma: no cover - child
+    """Worker loop: one item in, one result out, until the stop sentinel.
+
+    The worker also exits once its parent is gone. It holds owner-side
+    ends of its own and earlier siblings' pipes, so an owner killed
+    without a shutdown never reads as EOF; instead the idle loop checks
+    the parent pid every ``_ORPHAN_POLL`` seconds, and once before each
+    result is sent. ``parent`` is the owner's pid under fork (so an
+    owner that died before this line ran is caught too), else ``None``
+    and the worker's own parent at start-up counts.
+    """
+    parent = parent or os.getppid()
     # The fork inherits the CLI's cooperative signal_guard handlers, which
     # swallow the first SIGTERM. Restore default dispositions: SIGTERM
     # kills, SIGINT is ignored (the owner winds the pool down itself).
@@ -162,6 +175,9 @@ def _worker_main(conn) -> None:  # pragma: no cover - runs in child processes
 
     while True:
         try:
+            while not conn.poll(_ORPHAN_POLL):
+                if os.getppid() != parent:
+                    os._exit(0)
             message = conn.recv()
         except (EOFError, OSError):
             break
@@ -185,6 +201,8 @@ def _worker_main(conn) -> None:  # pragma: no cover - runs in child processes
             slab.close()
         if profiler is not None:
             dump_worker_profile(profiler)
+        if os.getppid() != parent:
+            break  # nobody left to read the result
         try:
             conn.send(payload)
         except (BrokenPipeError, OSError):
@@ -202,8 +220,9 @@ class _Worker:
 
     def __init__(self, mp_ctx) -> None:
         self.conn, child_conn = mp_ctx.Pipe(duplex=True)
+        parent = os.getpid() if mp_ctx.get_start_method() == "fork" else None
         self.process = mp_ctx.Process(
-            target=_worker_main, args=(child_conn,), daemon=True
+            target=_worker_main, args=(child_conn, parent), daemon=True
         )
         self.process.start()
         child_conn.close()  # the child owns its copy now

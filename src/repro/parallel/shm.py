@@ -39,21 +39,13 @@ import re
 import secrets
 import weakref
 from dataclasses import dataclass
+from multiprocessing import shared_memory as _shared_memory
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-try:  # pragma: no cover - import guard for exotic platforms
-    from multiprocessing import shared_memory as _shared_memory
-
-    SHM_AVAILABLE = True
-except ImportError:  # pragma: no cover
-    _shared_memory = None
-    SHM_AVAILABLE = False
-
 __all__ = [
-    "SHM_AVAILABLE",
     "SharedArray",
     "SharedArraySpec",
     "attach_cached",
@@ -160,7 +152,6 @@ class SharedArray:
     @classmethod
     def create(cls, shape: tuple[int, ...], dtype) -> "SharedArray":
         """Allocate a fresh owned segment of the given shape/dtype."""
-        _require_shm()
         dt = np.dtype(dtype)
         nbytes = max(1, int(np.prod(shape, dtype=np.int64)) * dt.itemsize)
         shm = None
@@ -188,7 +179,6 @@ class SharedArray:
     @classmethod
     def attach(cls, spec: SharedArraySpec) -> "SharedArray":
         """Map an existing segment created elsewhere (non-owning)."""
-        _require_shm()
         shm = _shared_memory.SharedMemory(name=spec.name)
         return cls(shm, spec, owner=False)
 
@@ -304,13 +294,6 @@ def release_cached(name: str) -> None:
     cached = _ATTACH_CACHE.pop(name, None)
     if cached is not None:
         cached.close()
-
-
-def _require_shm() -> None:
-    if not SHM_AVAILABLE:  # pragma: no cover - exotic platforms only
-        raise RuntimeError(
-            "multiprocessing.shared_memory is unavailable on this platform"
-        )
 
 
 @contextlib.contextmanager

@@ -4,15 +4,11 @@ The composable execution layer the ROADMAP's production north star needs:
 the walks → train → tasks flow is a :class:`Pipeline` of
 :class:`~repro.pipeline.stage.Stage` objects, and every runtime concern
 (checkpoint/resume, workers, supervision, chaos, telemetry, seeds)
-travels in one :class:`~repro.pipeline.context.ExecutionContext` instead
-of per-function keyword arguments. See docs/architecture.md.
+travels in one :class:`~repro.context.ExecutionContext` instead of
+per-function keyword arguments. See docs/architecture.md.
 """
 
-from repro.pipeline.checkpointing import (
-    FingerprintedCheckpoints,
-    FingerprintMismatch,
-)
-from repro.pipeline.context import ExecutionContext
+from repro.context import ExecutionContext
 from repro.pipeline.runner import Pipeline, PipelineResult, StageReport
 from repro.pipeline.stage import PipelineStage, Stage, StageError
 from repro.pipeline.stages import (
@@ -21,6 +17,10 @@ from repro.pipeline.stages import (
     PredictStage,
     TrainStage,
     WalkStage,
+)
+from repro.resilience.checkpoint import (
+    FingerprintedCheckpoints,
+    FingerprintMismatch,
 )
 
 __all__ = [

@@ -31,10 +31,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+from repro.context import ExecutionContext
 from repro.obs.profiler import SamplingProfiler
 from repro.obs.recorder import current_recorder
 from repro.obs.resources import ResourceSnapshot, resource_delta
-from repro.pipeline.context import ExecutionContext
 from repro.pipeline.stage import Stage, StageError
 from repro.resilience.guard import PressureWatchdog, preflight
 from repro.resilience.lifecycle import RunInterrupted, current_cancel_scope

@@ -9,7 +9,7 @@ A stage is a named unit of work with three obligations:
   skip a stage on resume when a cached output with the same fingerprint
   exists (return ``None`` to opt out of output caching);
 * ``run(ctx, value)`` — the work itself, taking the previous stage's
-  output and the shared :class:`~repro.pipeline.context.ExecutionContext`.
+  output and the shared :class:`~repro.context.ExecutionContext`.
 
 Stages never receive ``checkpoint_dir``/``resume``/``workers``/
 ``supervisor`` as individual arguments — those live on the context,
@@ -22,7 +22,7 @@ from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.pipeline.context import ExecutionContext
+from repro.context import ExecutionContext
 
 __all__ = ["Stage", "PipelineStage", "StageError"]
 

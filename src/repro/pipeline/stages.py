@@ -24,10 +24,10 @@ from typing import Any
 
 import numpy as np
 
+from repro.context import ExecutionContext
 from repro.core.trainer import TrainConfig, train_embeddings
 from repro.graph.core import Graph
 from repro.obs.recorder import current_recorder
-from repro.pipeline.context import ExecutionContext
 from repro.pipeline.stage import PipelineStage
 from repro.walks.corpus import WalkCorpus
 from repro.walks.engine import RandomWalkConfig, generate_walks
@@ -75,11 +75,9 @@ class WalkStage(PipelineStage):
         self,
         config: RandomWalkConfig | None = None,
         *,
-        keep_shared: bool = False,
         checkpoint_chunks: int | None = None,
     ) -> None:
         self.config = config or RandomWalkConfig()
-        self.keep_shared = keep_shared
         self.checkpoint_chunks = checkpoint_chunks
 
     def run(self, ctx: ExecutionContext, graph: Graph) -> WalkCorpus:
@@ -87,7 +85,6 @@ class WalkStage(PipelineStage):
             graph,
             self.config,
             context=ctx.scoped(WALKS_SCOPE),
-            keep_shared=self.keep_shared,
             checkpoint_chunks=self.checkpoint_chunks,
         )
 

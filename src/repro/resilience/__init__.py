@@ -73,6 +73,8 @@ from repro.resilience.checkpoint import (
     CheckpointCorrupt,
     CheckpointManager,
     DiskFull,
+    FingerprintedCheckpoints,
+    FingerprintMismatch,
     atomic_write_bytes,
     integrity_record,
     load_checkpoint,
@@ -97,6 +99,8 @@ __all__ = [
     "CheckpointCorrupt",
     "CheckpointManager",
     "DiskFull",
+    "FingerprintMismatch",
+    "FingerprintedCheckpoints",
     "atomic_write_bytes",
     "reclaim_disk",
     "save_checkpoint",

@@ -35,8 +35,9 @@ second ``ENOSPC`` propagates. The temporary file is unlinked on *every*
 failure path, so a failed write can never strand a ``.tmp`` file that
 itself eats the disk the next write needs.
 
-:class:`CheckpointManager` scopes named checkpoints to a directory and
-is what the walk engine and trainer thread through the stack.
+:class:`CheckpointManager` scopes named checkpoints to a directory, and
+:class:`FingerprintedCheckpoints` binds its slots to one job
+fingerprint: the durability contract the walk engine and trainer share.
 """
 
 from __future__ import annotations
@@ -65,6 +66,8 @@ __all__ = [
     "CheckpointCorrupt",
     "CheckpointManager",
     "DiskFull",
+    "FingerprintMismatch",
+    "FingerprintedCheckpoints",
     "atomic_write_bytes",
     "reclaim_disk",
     "save_checkpoint",
@@ -488,3 +491,86 @@ class CheckpointManager:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CheckpointManager({str(self._dir)!r}, {len(self.names())} saved)"
+
+
+_RESUME_HINT = (
+    "clear the checkpoint directory or resume with the original settings"
+)
+
+
+class FingerprintMismatch(ValueError):
+    """A checkpoint exists but belongs to a different job.
+
+    Subclasses ``ValueError`` because that is what the walk engine and
+    trainer historically raised; callers matching on ``ValueError``
+    (or on the message fragments) keep working.
+    """
+
+    def __init__(self, path: str | Path, what: str, described: str) -> None:
+        super().__init__(
+            f"{what} {path} was written by a different {described}; "
+            f"{_RESUME_HINT}"
+        )
+        self.path = Path(path)
+
+
+class FingerprintedCheckpoints:
+    """Named checkpoint slots bound to one job fingerprint.
+
+    Saves stamp ``fingerprint`` (a JSON-able dict describing the
+    configuration and inputs of the job) into the metadata; loads verify
+    it and raise :class:`FingerprintMismatch` on any difference, so a
+    resume never silently mixes artifacts from two different runs.
+    ``what``/``described`` word the mismatch message, e.g.
+    ``what="walk checkpoint"``, ``described="walk configuration"``.
+    """
+
+    def __init__(
+        self,
+        manager: CheckpointManager,
+        fingerprint: dict[str, Any],
+        *,
+        what: str = "checkpoint",
+        described: str = "configuration",
+    ) -> None:
+        self.manager = manager
+        self.fingerprint = fingerprint
+        self.what = what
+        self.described = described
+
+    @property
+    def directory(self) -> Path:
+        return self.manager.directory
+
+    def load(self, name: str) -> Checkpoint | None:
+        """Load slot ``name`` if present *and* written by this job.
+
+        Missing (or quarantined-as-corrupt) slots return ``None`` — the
+        normal "nothing to resume" state. A present slot whose stamped
+        fingerprint differs raises :class:`FingerprintMismatch`.
+        """
+        ckpt = self.manager.load_if_exists(name)
+        if ckpt is None:
+            return None
+        if ckpt.meta.get("fingerprint") != self.fingerprint:
+            raise FingerprintMismatch(
+                self.manager.path_for(name), self.what, self.described
+            )
+        return ckpt
+
+    def save(
+        self,
+        name: str,
+        arrays: dict[str, np.ndarray] | None = None,
+        meta: dict[str, Any] | None = None,
+    ) -> Path:
+        """Atomically save slot ``name`` stamped with the job fingerprint."""
+        meta = dict(meta or {})
+        meta["fingerprint"] = self.fingerprint
+        return self.manager.save(name, arrays, meta)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"FingerprintedCheckpoints({str(self.directory)!r}, "
+            f"what={self.what!r})"
+        )

@@ -28,28 +28,15 @@ class WalkCorpus:
         only appear as a suffix of a row.
     num_vertices:
         Size of the vertex universe (vocabulary size upper bound).
-    shared:
-        Optional owning :class:`repro.parallel.shm.SharedArray` whose
-        view ``walks`` is — the zero-copy handoff from a parallel walk
-        engine. The corpus owns the segment: :meth:`release` (or garbage
-        collection of the corpus) unlinks it; the walks survive as a
-        private copy only if :meth:`release` was called explicitly.
     """
 
-    def __init__(
-        self, walks: np.ndarray, *, num_vertices: int, shared=None
-    ) -> None:
+    def __init__(self, walks: np.ndarray, *, num_vertices: int) -> None:
         walks = np.asarray(walks, dtype=np.int64)
         if walks.ndim != 2:
             raise ValueError("walks must be a 2-D array")
         if walks.size and walks.max() >= num_vertices:
             raise ValueError("walk token exceeds num_vertices")
         self._walks = np.ascontiguousarray(walks)
-        self._shared = shared if self._walks is walks else None
-        if shared is not None and self._shared is None:
-            # The caller's array was copied/relaid — the segment backs
-            # nothing we hold, so drop it now rather than leak.
-            shared.destroy()
         self._num_vertices = int(num_vertices)
         valid = self._walks != PAD
         # Padding must be a suffix: a valid token may not follow a pad.
@@ -61,24 +48,6 @@ class WalkCorpus:
     @property
     def walks(self) -> np.ndarray:
         return self._walks
-
-    @property
-    def is_shared(self) -> bool:
-        """Whether the walk matrix is backed by a shared-memory segment."""
-        return self._shared is not None
-
-    def release(self) -> None:
-        """Detach from shared memory (no-op for ordinary corpora).
-
-        The walk data is first copied to a private heap array, so the
-        corpus stays fully usable; the underlying segment is then
-        unlinked. Idempotent.
-        """
-        if self._shared is None:
-            return
-        shared, self._shared = self._shared, None
-        self._walks = self._walks.copy()
-        shared.destroy()
 
     @property
     def lengths(self) -> np.ndarray:

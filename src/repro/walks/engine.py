@@ -14,20 +14,40 @@ walk by one hop per iteration:
 Directed graphs simply follow out-arcs; a walk that reaches a vertex with
 no (eligible) out-arc terminates, exactly as the paper specifies, and its
 remaining positions are padded with ``-1``.
+
+There is one in-memory execution path. The walk set is cut into chunks;
+chunk ``i`` of ``k`` draws from ``spawn_seeds(config.seed, k)[i]`` and
+writes its rows of the corpus in place. Chunks run through
+:func:`repro.parallel.pool.parallel_map` — in-process at one worker, on
+the process pool otherwise — in waves, and each finished chunk is
+checkpointed when the context names a checkpoint directory. Worker
+count, wave size and checkpointing are scheduling only: the corpus is a
+function of ``(config, chunk count)``.
 """
 
 from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.context import ExecutionContext
 from repro.graph.core import Graph
 from repro.obs.recorder import current_recorder
+from repro.parallel.pool import chunk_bounds, parallel_map
 from repro.parallel.seeding import spawn_seeds
+from repro.parallel.shm import (
+    SharedArray,
+    SharedArraySpec,
+    attach_cached,
+    release_cached,
+    shared_arrays,
+)
+from repro.resilience.guard import clamp_wave
+from repro.resilience.lifecycle import current_cancel_scope
+from repro.resilience.supervisor import current_heartbeat
 from repro.walks.alias import AliasTable, build_arc_alias
 from repro.walks.corpus import WalkCorpus
 
@@ -80,89 +100,43 @@ class RandomWalkConfig:
             raise ValueError("p/q only apply to node2vec walks")
 
 
-# Local "not passed" sentinel for the legacy keyword shims (the pipeline
-# layer has its own; this module must not import it at module level).
-_UNSET = object()
-
-
 def generate_walks(
     g: Graph,
     config: RandomWalkConfig | None = None,
     *,
-    context=None,
-    workers: "int | None" = _UNSET,  # type: ignore[assignment]
-    keep_shared: bool = False,
-    checkpoint_dir: "str | Path | None" = _UNSET,  # type: ignore[assignment]
-    resume: bool = _UNSET,  # type: ignore[assignment]
+    context: ExecutionContext | None = None,
     checkpoint_chunks: int | None = None,
-    supervisor=_UNSET,
 ) -> WalkCorpus:
     """Generate ``t`` walks from every vertex (or from ``start_vertices``).
 
     Returns a :class:`WalkCorpus` whose ``walks`` matrix has one row per
     walk, padded with ``-1`` after termination.
 
-    Runtime concerns — worker count, checkpoint directory, resume,
-    supervision, chaos hooks — travel in ``context``, a
-    :class:`repro.pipeline.ExecutionContext`:
+    The walk set is split into ``checkpoint_chunks`` chunks (default:
+    the context's worker count), each with its own spawned seed stream,
+    so the corpus depends only on ``(config.seed, chunk count)``:
+    ``workers=2`` gives the same corpus as ``workers=1`` with
+    ``checkpoint_chunks=2``. Runtime concerns travel in ``context``
+    (default ``ExecutionContext()``), none of which changes the corpus:
 
-    * ``context.workers > 1`` splits the walk set across a process pool;
-      each chunk gets an independent spawned seed stream, so results are
-      reproducible for a fixed ``(seed, workers)`` pair (but differ
-      across worker counts, since the streams differ). ``None``/< 1
-      means auto via :func:`repro.parallel.pool.resolve_workers`.
-      Parallel workers write their rows straight into one shared-memory
-      block — chunk results are never pickled back through the pool —
-      and ``keep_shared=True`` hands that block to the returned corpus
-      zero-copy (call :meth:`WalkCorpus.release` when done, or let GC
-      unlink it).
-    * ``context.checkpoint_dir`` enables durable execution: the walk set
-      is split into ``checkpoint_chunks`` chunks (default
-      ``max(workers, 1)``) and each completed chunk is written
-      atomically to the directory. With ``context.resume`` true, chunks
-      already on disk (with a matching configuration fingerprint) are
-      reused instead of recomputed, so a killed run restarts where it
-      stopped and — because chunk seeds are spawned deterministically
-      from ``config.seed`` — produces a corpus bitwise-identical to an
-      uninterrupted run with the same ``(seed, chunk count)``. A
-      fingerprint mismatch raises
-      :class:`repro.pipeline.FingerprintMismatch` (a ``ValueError``)
-      rather than silently mixing corpora.
-    * ``context.supervisor`` runs parallel chunks under worker
-      supervision: heartbeat-based hung-worker detection, kill/respawn
-      with chunk reassignment, and a degrade ladder to serial. Chunk
-      recomputation is idempotent (same seed → same rows), so a
-      respawned chunk is bitwise-harmless.
-
-    The individual ``workers=``/``checkpoint_dir=``/``resume=``/
-    ``supervisor=`` keyword arguments remain accepted for compatibility
-    (``checkpoint_dir``/``resume``/``supervisor`` with a
-    ``DeprecationWarning``); they cannot be combined with ``context``.
+    * ``context.workers`` is how many chunks run at once, on the process
+      pool when > 1 (``None``/< 1 means auto via
+      :func:`repro.parallel.pool.resolve_workers`). Pool workers read the
+      stepping arrays from shared memory and write their rows straight
+      into one shared walk block; nothing heavyweight is pickled.
+    * ``context.checkpoint_dir`` saves each finished chunk atomically.
+      With ``context.resume`` true, chunks already on disk (with a
+      matching configuration fingerprint) are reused, so a killed run
+      restarts where it stopped and ends bitwise-identical to an
+      uninterrupted one. A fingerprint mismatch raises
+      :class:`repro.resilience.checkpoint.FingerprintMismatch` (a
+      ``ValueError``) rather than silently mixing corpora.
+    * ``context.supervisor`` runs pooled chunks under worker supervision
+      (heartbeats, kill/respawn, degrade ladder). A chunk rerun rewrites
+      the same rows from the same seed, so a respawn is bitwise-harmless.
     """
-    from repro.pipeline.context import UNSET, context_from_legacy
-
-    ctx = context_from_legacy(
-        context,
-        workers=UNSET if workers is _UNSET else workers,
-        checkpoint_dir=UNSET if checkpoint_dir is _UNSET else checkpoint_dir,
-        resume=UNSET if resume is _UNSET else resume,
-        supervisor=UNSET if supervisor is _UNSET else supervisor,
-    )
-    return _generate_walks(
-        g, config, ctx, keep_shared=keep_shared, chunks=checkpoint_chunks
-    )
-
-
-def _generate_walks(
-    g: Graph,
-    config: RandomWalkConfig | None,
-    ctx,
-    *,
-    keep_shared: bool = False,
-    chunks: int | None = None,
-) -> WalkCorpus:
-    """Context-based engine entry (``ctx`` is an ExecutionContext)."""
     config = config or RandomWalkConfig()
+    ctx = context or ExecutionContext()
     if getattr(g, "mmap_backed", False) and hasattr(g, "shard"):
         # Out-of-core store: shard-parallel engine with counter-based
         # draws (bitwise-stable across shard/worker counts). Durable
@@ -182,14 +156,8 @@ def _generate_walks(
         workers=workers,
     ) as span:
         with rec.time("walks.generate_seconds") as timer:
-            if ctx.checkpoint_dir is not None:
-                corpus = _generate_walks_checkpointed(
-                    g, config, ctx, chunks=chunks or workers
-                )
-            elif workers > 1:
-                corpus = _generate_walks_parallel(g, config, ctx, keep_shared)
-            else:
-                corpus = _generate_walks_serial(g, config)
+            walks = _walk_chunks(g, config, ctx, workers, checkpoint_chunks or workers)
+        corpus = WalkCorpus(walks, num_vertices=g.n)
         if rec.enabled:
             walks_per_sec = corpus.num_walks / max(timer.seconds, 1e-9)
             rec.inc("walks.total", corpus.num_walks)
@@ -203,47 +171,205 @@ def _generate_walks(
         return corpus
 
 
-def _generate_walks_serial(g: Graph, config: RandomWalkConfig) -> WalkCorpus:
-    """The single-process stepping loop shared by every dispatch path."""
-    mode = WalkMode(config.mode)
-    _validate_mode(g, mode)
-
+def _walk_start_vertices(g: Graph, config: RandomWalkConfig) -> np.ndarray:
+    """Every walk's start vertex, in corpus row order."""
     if config.start_vertices is not None:
-        starts_once = np.asarray(config.start_vertices, dtype=np.int64)
-        if starts_once.size and (starts_once.min() < 0 or starts_once.max() >= g.n):
+        starts = np.asarray(config.start_vertices, dtype=np.int64)
+        if starts.size and (starts.min() < 0 or starts.max() >= g.n):
             raise ValueError("start vertex out of range")
     else:
-        starts_once = np.arange(g.n, dtype=np.int64)
-    starts = np.tile(starts_once, config.walks_per_vertex)
-    num_walks = starts.shape[0]
+        starts = np.arange(g.n, dtype=np.int64)
+    return np.tile(starts, config.walks_per_vertex)
 
-    walks = np.full((num_walks, config.walk_length), PAD, dtype=np.int64)
-    if num_walks == 0 or g.n == 0:
-        return WalkCorpus(walks, num_vertices=g.n)
-    walks[:, 0] = starts
-    if config.walk_length == 1:
-        return WalkCorpus(walks, num_vertices=g.n)
 
-    # One independent stream per stepper keeps results reproducible and
-    # lets a future multi-process split reuse the same spawning scheme.
-    rng = np.random.default_rng(spawn_seeds(config.seed, 1)[0])
-    stepper = _make_stepper(g, mode, config)
-    _step_walks_masked(stepper, starts, walks, rng)
-    return WalkCorpus(walks, num_vertices=g.n)
+def _walk_fingerprint(g: Graph, config: RandomWalkConfig, chunks: int) -> dict:
+    """Identity of a checkpointed walk job; mismatches refuse to resume."""
+    starts = config.start_vertices
+    return {
+        "n": int(g.n),
+        "num_edges": int(g.num_edges),
+        "directed": bool(g.directed),
+        "walks_per_vertex": config.walks_per_vertex,
+        "walk_length": config.walk_length,
+        "mode": str(WalkMode(config.mode).value),
+        "time_window": config.time_window,
+        "p": config.p,
+        "q": config.q,
+        "seed": config.seed,
+        "chunks": int(chunks),
+        # How chunk streams derive from the seed: a checkpoint written
+        # under an older scheme must be refused, not mixed in.
+        "chunk_stream": "spawn_seeds(seed, chunks)[i]",
+        "start_vertices": None if starts is None else [int(v) for v in starts],
+    }
+
+
+@dataclass(frozen=True)
+class _WalkChunk:
+    """Rows ``lo:lo + len(starts)`` of the corpus: one chunk's whole job.
+
+    ``arrays`` (the stepping arrays) and ``out`` (the walk matrix) are
+    the arrays themselves for an in-process map, and
+    :class:`~repro.parallel.shm.SharedArraySpec` handles of shared copies
+    for a pooled one, so a task crosses a pipe in a few hundred bytes.
+    """
+
+    config: RandomWalkConfig  # start_vertices stripped; see ``starts``
+    dense: bool
+    arrays: dict
+    out: "np.ndarray | SharedArraySpec"
+    lo: int
+    starts: np.ndarray
+    seed: np.random.SeedSequence
+
+
+def _walk_chunk(task: _WalkChunk) -> float:
+    """The chunk task: step the chunk's walks into its corpus rows.
+
+    Returns the chunk's wall-clock seconds. Idempotent: a rerun (after a
+    worker death) rewrites the same rows from the same seed. Pool
+    workers attach the stepping arrays through the per-process cache
+    (:func:`repro.parallel.shm.attach_cached`), once per run rather than
+    once per chunk.
+    """
+    started = time.perf_counter()
+    arrays = {
+        name: a if isinstance(a, np.ndarray) else attach_cached(a).array
+        for name, a in task.arrays.items()
+    }
+    stepper = _make_stepper(task.config, arrays)
+    rng = np.random.default_rng(task.seed)
+    hi = task.lo + task.starts.shape[0]
+    # The walk block changes every run and can be large: attach and close
+    # it per chunk instead of pinning it in the process-level cache.
+    shared = None if isinstance(task.out, np.ndarray) else SharedArray.attach(task.out)
+    try:
+        rows = (task.out if shared is None else shared.array)[task.lo : hi]
+        if task.dense:
+            rows[:] = _step_walks_dense(stepper, task.starts, rows.shape[1], rng)
+        else:
+            rows.fill(PAD)
+            rows[:, 0] = task.starts
+            _step_walks_masked(stepper, task.starts, rows, rng)
+    finally:
+        if shared is not None:
+            shared.close()
+    return time.perf_counter() - started
+
+
+def _walk_chunks(
+    g: Graph,
+    config: RandomWalkConfig,
+    ctx: ExecutionContext,
+    workers: int,
+    chunks: int,
+) -> np.ndarray:
+    """Load the finished chunks, run the rest in waves, save each one."""
+    mode = WalkMode(config.mode)
+    _validate_mode(g, mode)
+    starts = _walk_start_vertices(g, config)
+    shape = (starts.shape[0], config.walk_length)
+    bounds = chunk_bounds(shape[0], chunks)
+    if not bounds:
+        return np.empty(shape, dtype=np.int64)
+    store = ctx.fingerprinted(
+        _walk_fingerprint(g, config, len(bounds)),
+        what="walk checkpoint",
+        described="walk configuration",
+    )
+    rec = current_recorder()
+    done: dict[int, np.ndarray] = {}
+    if store is not None and ctx.resume:
+        for i in range(len(bounds)):
+            ckpt = store.load(f"walks-{i:04d}")
+            if ckpt is not None:
+                done[i] = ckpt.arrays["walks"]
+        if done:
+            rec.inc("walks.chunks_resumed", len(done))
+            rec.event("walks.resume", chunks=len(done), of=len(bounds))
+    missing = [i for i in range(len(bounds)) if i not in done]
+    arrays, dense = _walk_arrays(g, mode) if missing else ({}, False)
+    seeds = spawn_seeds(config.seed, len(bounds))
+    task_config = replace(config, start_vertices=None)
+    cancel = current_cancel_scope()
+    run_chunk = ctx.wrap_task(_walk_chunk)
+    pooled = workers > 1 and len(missing) > 1
+    with shared_arrays() as scope:
+        if pooled:
+            arrays = {name: scope.from_array(a).spec for name, a in arrays.items()}
+            shared = scope.create(shape, np.int64)
+            walks, out = shared.array, shared.spec
+        else:
+            walks = out = np.empty(shape, dtype=np.int64)
+        for i, rows in done.items():
+            lo, hi = bounds[i]
+            walks[lo:hi] = rows
+        # Waves of `workers` chunks; a kill mid-job loses at most the
+        # wave in flight. Under memory pressure the guard ladder clamps
+        # the wave to one chunk, re-read per wave so a mid-run breach
+        # takes effect at once. Waves are pure scheduling.
+        pos, wave_index = 0, 0
+        while pos < len(missing):
+            cancel.check()
+            batch = missing[pos : pos + clamp_wave(workers)]
+            pos += len(batch)
+            wave_started = time.perf_counter()
+            tasks = [
+                _WalkChunk(
+                    config=task_config,
+                    dense=dense,
+                    arrays=arrays,
+                    out=out,
+                    lo=bounds[i][0],
+                    starts=starts[bounds[i][0] : bounds[i][1]],
+                    seed=seeds[i],
+                )
+                for i in batch
+            ]
+            seconds = parallel_map(
+                run_chunk, tasks, workers=workers, supervisor=ctx.supervisor
+            )
+            if store is not None:
+                for i in batch:
+                    lo, hi = bounds[i]
+                    store.save(f"walks-{i:04d}", {"walks": walks[lo:hi]}, {"chunk": i})
+            if rec.enabled:
+                for i, chunk_seconds in zip(batch, seconds):
+                    lo, hi = bounds[i]
+                    rec.observe("walks.chunk_seconds", chunk_seconds)
+                    rec.event(
+                        "walks.chunk",
+                        level="debug",
+                        rows=hi - lo,
+                        seconds=round(chunk_seconds, 6),
+                    )
+                wave_seconds = time.perf_counter() - wave_started
+                rec.observe("walks.wave_seconds", wave_seconds)
+                rec.inc("walks.chunks_computed", len(batch))
+                rec.event(
+                    "walks.wave",
+                    wave=wave_index,
+                    chunks=len(batch),
+                    seconds=round(wave_seconds, 6),
+                )
+            wave_index += 1
+        if pooled:
+            walks = walks.copy()  # escape the shared block before unlink
+            # An in-process fallback leaves attachments in this process's
+            # cache; drop them now that the segments are going away.
+            for spec in arrays.values():
+                release_cached(spec.name)
+    return walks
 
 
 def _step_walks_masked(stepper, starts, walks, rng) -> None:
     """The reference stepping loop: masked advance of the live walk set.
 
-    This is the reproducibility anchor for walk generation — the
-    ``workers=1`` path runs exactly this loop, and the golden pipeline
-    checksum pins its draws. The batched frontier loop below
-    (:func:`_step_walks_dense`) must stay bitwise-identical to it on
-    dead-end-free graphs (``tests/walks/test_frontier.py``).
+    Runs whenever a walk can die (a sink vertex, or a temporal walk);
+    otherwise it is the reproducibility anchor that the batched frontier
+    loop below (:func:`_step_walks_dense`) must stay bitwise-identical
+    to (``tests/walks/test_frontier.py``).
     """
-    from repro.resilience.lifecycle import current_cancel_scope
-    from repro.resilience.supervisor import current_heartbeat
-
     heartbeat = current_heartbeat()
     scope = current_cancel_scope()
     num_walks, walk_length = walks.shape
@@ -277,13 +403,8 @@ def _step_walks_dense(stepper, starts, walk_length, rng) -> np.ndarray:
 
     Draw-equivalence: ``step_dense`` consumes the RNG stream in exactly
     the order the masked stepper does when all walks are alive, so for a
-    fixed seed the result is bitwise-identical to the reference loop —
-    ~3x faster on the bench corpus. Used by the parallel chunk workers;
-    the ``workers=1`` path keeps the reference loop above.
+    fixed seed the result is bitwise-identical to the reference loop.
     """
-    from repro.resilience.lifecycle import current_cancel_scope
-    from repro.resilience.supervisor import current_heartbeat
-
     heartbeat = current_heartbeat()
     scope = current_cancel_scope()
     num_walks = starts.shape[0]
@@ -299,63 +420,24 @@ def _step_walks_dense(stepper, starts, walk_length, rng) -> np.ndarray:
     return walks.T
 
 
-def _chunk_walks(args: tuple) -> np.ndarray:
-    """Generate one chunk of walks (serial engine on a start slice)."""
-    g, config, starts, seed_state = args[:4]
-    chunk_config = RandomWalkConfig(
-        walks_per_vertex=1,
-        walk_length=config.walk_length,
-        mode=config.mode,
-        time_window=config.time_window,
-        p=config.p,
-        q=config.q,
-        seed=seed_state,
-        start_vertices=starts,
-    )
-    # Straight to the serial engine: chunks must not re-enter the public
-    # generate_walks(), which would nest spans and double-count metrics.
-    return _generate_walks_serial(g, chunk_config).walks
+def _validate_mode(g: Graph, mode: WalkMode) -> None:
+    if mode is WalkMode.WEIGHTED and g.edge_weights is None:
+        raise ValueError("WEIGHTED walk requires edge weights")
+    if mode is WalkMode.VERTEX_WEIGHTED and g.vertex_weights is None:
+        raise ValueError("VERTEX_WEIGHTED walk requires vertex weights")
+    if mode is WalkMode.TEMPORAL and g.edge_times is None:
+        raise ValueError("TEMPORAL walk requires edge timestamps")
 
 
-def _chunk_task(args: tuple) -> np.ndarray:
-    """Module-level worker (picklable) returning one chunk of walks."""
-    return _chunk_walks(args)
+def _walk_arrays(g: Graph, mode: WalkMode) -> tuple[dict, bool]:
+    """The stepping arrays for ``mode``, and whether the dense loop applies.
 
-
-@dataclass(frozen=True)
-class _ShmChunkTask:
-    """Everything a chunk worker needs, with zero graph bytes attached.
-
-    The legacy ``_chunk_task`` tuples pickle the whole :class:`Graph`
-    into every item; these tasks carry only shared-memory *handles* for
-    the (mode-specific) stepping arrays plus the chunk's scalars, so a
-    task crosses the pool pipe in a few hundred bytes and precomputed
-    structures (alias tables, row-sorted adjacency) are built once in
-    the parent instead of once per chunk per worker.
-    """
-
-    mode: WalkMode
-    walk_length: int
-    time_window: float | None
-    p: float
-    q: float
-    seed: int
-    starts: np.ndarray
-    lo: int
-    hi: int
-    out: "object"  # SharedArraySpec of the (rows, walk_length) result block
-    arrays: dict  # name -> SharedArraySpec of the stepping arrays
-    dense_ok: bool
-
-
-def _export_walk_arrays(g: Graph, mode: WalkMode, scope) -> tuple[dict, bool]:
-    """Copy the stepping arrays for ``mode`` into shared segments.
-
-    Returns ``(specs, dense_ok)`` where ``specs`` maps array name to
-    :class:`~repro.parallel.shm.SharedArraySpec` and ``dense_ok`` says
-    whether chunk workers may run the frontier-batched loop (every
-    vertex has an out-arc, so no walk can ever die; temporal walks are
-    excluded because their eligible arc set shrinks over time).
+    Returns ``(arrays, dense)``: ``arrays`` maps name to the CSR arrays
+    plus any mode-specific precomputation (alias tables, row-sorted
+    adjacency), built once per job; ``dense`` says every vertex has an
+    out-arc, so no walk can die and the frontier-batched loop is
+    bitwise-identical to the masked one (temporal walks are excluded:
+    their eligible arc set shrinks over time).
     """
     arrays: dict[str, np.ndarray] = {"indptr": g.indptr}
     if mode in (WalkMode.UNIFORM, WalkMode.WEIGHTED, WalkMode.VERTEX_WEIGHTED):
@@ -376,317 +458,33 @@ def _export_walk_arrays(g: Graph, mode: WalkMode, scope) -> tuple[dict, bool]:
         order = _sort_rows_by_time(g.indptr, g.edge_times)
         arrays["sorted_indices"] = np.ascontiguousarray(g.indices[order])
         arrays["sorted_times"] = np.ascontiguousarray(g.edge_times[order])
-    specs = {name: scope.from_array(arr).spec for name, arr in arrays.items()}
     degrees = np.diff(g.indptr)
-    dense_ok = (
+    dense = (
         mode is not WalkMode.TEMPORAL
         and degrees.size > 0
         and int(degrees.min()) > 0
     )
-    return specs, dense_ok
+    return arrays, dense
 
 
-def _stepper_from_shared(task: _ShmChunkTask, arrs: dict) -> object:
-    """Rebuild the task's stepper over shared-memory array views."""
-    if task.mode is WalkMode.UNIFORM:
-        return _UniformStepper(arrs["indptr"], arrs["indices"])
-    if task.mode in (WalkMode.WEIGHTED, WalkMode.VERTEX_WEIGHTED):
-        table = AliasTable(prob=arrs["prob"], alias=arrs["alias"])
-        return _AliasStepper(arrs["indptr"], arrs["indices"], table)
-    if task.mode is WalkMode.NODE2VEC:
-        return _Node2VecStepper(arrs["indptr"], arrs["sorted_indices"], task.p, task.q)
-    return _TemporalStepper(
-        arrs["indptr"],
-        arrs["sorted_indices"],
-        arrs["sorted_times"],
-        task.time_window,
-    )
-
-
-def _chunk_task_shm(task: _ShmChunkTask) -> tuple[int, int, float]:
-    """Worker that writes its chunk straight into the shared walk block.
-
-    Returns only the row bounds it filled plus its own wall-clock
-    seconds (the parent records per-chunk latency) — nothing heavyweight
-    crosses the pool's result pipe. Re-running a chunk (pool retry after
-    a worker death) rewrites the same rows with the same seed, so the
-    operation is idempotent. Graph-array attachments are cached per
-    process (:func:`repro.parallel.shm.attach_cached`): persistent-pool
-    workers map each segment once per run, not once per chunk.
-
-    The chunk rng is spawned exactly as the legacy serial path spawns
-    it from a chunk config (``spawn_seeds(seed, 1)[0]``), so for a fixed
-    ``(seed, workers)`` pair this path is bitwise-identical to the
-    pre-batching chunk worker.
-    """
-    from repro.parallel.shm import SharedArray, attach_cached
-
-    started = time.perf_counter()
-    arrs = {name: attach_cached(spec).array for name, spec in task.arrays.items()}
-    stepper = _stepper_from_shared(task, arrs)
-    rng = np.random.default_rng(spawn_seeds(task.seed, 1)[0])
-    if task.dense_ok and task.walk_length > 1:
-        walks = _step_walks_dense(stepper, task.starts, task.walk_length, rng)
-    else:
-        walks = np.full((task.starts.shape[0], task.walk_length), PAD, dtype=np.int64)
-        walks[:, 0] = task.starts
-        if task.walk_length > 1:
-            _step_walks_masked(stepper, task.starts, walks, rng)
-    # The out block changes every run and can be large: attach/close per
-    # chunk instead of pinning it in the process-level cache.
-    out = SharedArray.attach(task.out)
-    try:
-        out.array[task.lo : task.hi] = walks
-    finally:
-        out.close()
-    return task.lo, task.hi, time.perf_counter() - started
-
-
-def _chunk_tasks(
-    g: Graph, config: RandomWalkConfig, chunks: int
-) -> list[tuple] | None:
-    """Per-chunk ``_chunk_task`` argument tuples (None if no walks).
-
-    Chunk seeds are spawned deterministically from ``config.seed``, so
-    the task list — and therefore the assembled corpus — depends only on
-    ``(seed, chunk count)``, not on how chunks are scheduled. Each tuple
-    carries the chunk's ``(lo, hi)`` row range in the assembled corpus.
-    """
-    from repro.parallel.pool import chunk_bounds
-    from repro.parallel.seeding import spawn_seeds
-
-    if config.start_vertices is not None:
-        starts_once = np.asarray(config.start_vertices, dtype=np.int64)
-        if starts_once.size and (starts_once.min() < 0 or starts_once.max() >= g.n):
-            raise ValueError("start vertex out of range")
-    else:
-        starts_once = np.arange(g.n, dtype=np.int64)
-    starts = np.tile(starts_once, config.walks_per_vertex)
-    if starts.size == 0:
-        return None
-    bounds = chunk_bounds(starts.shape[0], chunks)
-    # SeedSequence state is a plain int tuple -> picklable across processes.
-    seeds = [
-        int(s.generate_state(1)[0])
-        for s in spawn_seeds(config.seed, len(bounds))
-    ]
-    return [
-        (g, config, starts[lo:hi], seed, lo, hi)
-        for (lo, hi), seed in zip(bounds, seeds)
-    ]
-
-
-def _empty_corpus(g: Graph, config: RandomWalkConfig) -> WalkCorpus:
-    return WalkCorpus(
-        np.full((0, config.walk_length), PAD, dtype=np.int64),
-        num_vertices=g.n,
-    )
-
-
-def _generate_walks_parallel(
-    g: Graph,
-    config: RandomWalkConfig,
-    ctx,
-    keep_shared: bool = False,
-) -> WalkCorpus:
-    """Fan chunks out to a pool; rows land in one shared-memory block.
-
-    Workers write into the block in place and return only row bounds, so
-    a multi-GB corpus is never pickled through the pool's result pipe.
-    The stepping arrays travel the same way: the parent exports CSR (and
-    any mode-specific precomputation — alias tables, row-sorted
-    adjacency) into shared segments once, and every chunk task carries
-    only the handles. Falls back to the graph-pickling path on platforms
-    without POSIX shared memory.
-    """
-    from repro.parallel.pool import parallel_map
-    from repro.parallel.shm import (
-        SHM_AVAILABLE,
-        SharedArray,
-        release_cached,
-        shared_arrays,
-    )
-
-    workers = ctx.resolve_workers()
-    tasks = _chunk_tasks(g, config, workers)
-    if tasks is None:
-        return _empty_corpus(g, config)
-    if not SHM_AVAILABLE:  # pragma: no cover - exotic platforms only
-        chunks = parallel_map(ctx.wrap_task(_chunk_task), tasks, workers=workers)
-        return WalkCorpus(np.vstack(chunks), num_vertices=g.n)
-
+def _make_stepper(config: RandomWalkConfig, arrays: dict):
+    """The stepper for ``config.mode`` over :func:`_walk_arrays` output."""
     mode = WalkMode(config.mode)
-    _validate_mode(g, mode)
-    total_rows = tasks[-1][5]
-    shared = SharedArray.create((total_rows, config.walk_length), np.int64)
-    try:
-        with shared_arrays() as scope:
-            specs, dense_ok = _export_walk_arrays(g, mode, scope)
-            shm_tasks = [
-                _ShmChunkTask(
-                    mode=mode,
-                    walk_length=config.walk_length,
-                    time_window=config.time_window,
-                    p=config.p,
-                    q=config.q,
-                    seed=seed,
-                    starts=starts,
-                    lo=lo,
-                    hi=hi,
-                    out=shared.spec,
-                    arrays=specs,
-                    dense_ok=dense_ok,
-                )
-                for (_g, _config, starts, seed, lo, hi) in tasks
-            ]
-            bounds = parallel_map(
-                ctx.wrap_task(_chunk_task_shm),
-                shm_tasks,
-                workers=workers,
-                supervisor=ctx.supervisor,
-            )
-        # A serial-fallback pass runs chunk tasks in this process and
-        # leaves its graph attachments in the local cache; drop them now
-        # that the segments are unlinked.
-        for spec in specs.values():
-            release_cached(spec.name)
-        rec = current_recorder()
-        if rec.enabled:
-            for lo, hi, seconds in bounds:
-                rec.observe("walks.chunk_seconds", seconds)
-                rec.event(
-                    "walks.chunk",
-                    level="debug",
-                    rows=hi - lo,
-                    seconds=round(seconds, 6),
-                )
-    except BaseException:
-        shared.destroy()
-        raise
-    if keep_shared:
-        return WalkCorpus(shared.array, num_vertices=g.n, shared=shared)
-    walks = shared.copy()
-    shared.destroy()
-    return WalkCorpus(walks, num_vertices=g.n)
-
-
-def _walk_fingerprint(g: Graph, config: RandomWalkConfig, chunks: int) -> dict:
-    """Identity of a checkpointed walk job; mismatches refuse to resume."""
-    starts = config.start_vertices
-    return {
-        "n": int(g.n),
-        "num_edges": int(g.num_edges),
-        "directed": bool(g.directed),
-        "walks_per_vertex": config.walks_per_vertex,
-        "walk_length": config.walk_length,
-        "mode": str(WalkMode(config.mode).value),
-        "time_window": config.time_window,
-        "p": config.p,
-        "q": config.q,
-        "seed": config.seed,
-        "chunks": int(chunks),
-        "start_vertices": None if starts is None else [int(v) for v in starts],
-    }
-
-
-def _generate_walks_checkpointed(
-    g: Graph,
-    config: RandomWalkConfig,
-    ctx,
-    *,
-    chunks: int,
-) -> WalkCorpus:
-    from repro.parallel.pool import parallel_map
-
-    tasks = _chunk_tasks(g, config, chunks)
-    if tasks is None:
-        return _empty_corpus(g, config)
-    store = ctx.fingerprinted(
-        _walk_fingerprint(g, config, len(tasks)),
-        what="walk checkpoint",
-        described="walk configuration",
-    )
-    workers = ctx.resolve_workers()
-    rec = current_recorder()
-
-    done: dict[int, np.ndarray] = {}
-    if ctx.resume:
-        for i in range(len(tasks)):
-            ckpt = store.load(f"walks-{i:04d}")
-            if ckpt is None:
-                continue
-            done[i] = ckpt.arrays["walks"]
-        if done:
-            rec.inc("walks.chunks_resumed", len(done))
-            rec.event(
-                "walks.resume", chunks=len(done), of=len(tasks)
-            )
-
-    from repro.resilience.guard import clamp_wave
-    from repro.resilience.lifecycle import current_cancel_scope
-
-    scope = current_cancel_scope()
-    missing = [i for i in range(len(tasks)) if i not in done]
-    # Compute in waves of `workers` chunks, checkpointing after each
-    # wave, so a kill mid-job loses at most one wave of work. Under
-    # memory pressure the guard ladder clamps the wave to one chunk —
-    # re-read per wave so a mid-run breach takes effect immediately.
-    # Wave size is pure scheduling (the fingerprint counts chunks), so
-    # shrinking it never perturbs resume identity.
-    lo, wave_index = 0, 0
-    while lo < len(missing):
-        # Completed waves are already durable; raising here (cancel or
-        # deadline) loses at most the wave in flight, and chunk seeds
-        # are deterministic so resume recomputes it bit-for-bit.
-        scope.check()
-        wave = clamp_wave(max(workers, 1))
-        batch = missing[lo : lo + wave]
-        lo += wave
-        wave_started = time.perf_counter()
-        computed = parallel_map(
-            ctx.wrap_task(_chunk_task),
-            [tasks[i] for i in batch],
-            workers=workers,
-            supervisor=ctx.supervisor,
-        )
-        for i, walks in zip(batch, computed):
-            store.save(f"walks-{i:04d}", {"walks": walks}, {"chunk": i})
-            done[i] = walks
-        if rec.enabled:
-            wave_seconds = time.perf_counter() - wave_started
-            rec.observe("walks.wave_seconds", wave_seconds)
-            rec.inc("walks.chunks_computed", len(batch))
-            rec.event(
-                "walks.wave",
-                wave=wave_index,
-                chunks=len(batch),
-                seconds=round(wave_seconds, 6),
-            )
-        wave_index += 1
-    ordered = [done[i] for i in range(len(tasks))]
-    return WalkCorpus(np.vstack(ordered), num_vertices=g.n)
-
-
-def _validate_mode(g: Graph, mode: WalkMode) -> None:
-    if mode is WalkMode.WEIGHTED and g.edge_weights is None:
-        raise ValueError("WEIGHTED walk requires edge weights")
-    if mode is WalkMode.VERTEX_WEIGHTED and g.vertex_weights is None:
-        raise ValueError("VERTEX_WEIGHTED walk requires vertex weights")
-    if mode is WalkMode.TEMPORAL and g.edge_times is None:
-        raise ValueError("TEMPORAL walk requires edge timestamps")
-
-
-def _make_stepper(g: Graph, mode: WalkMode, config: RandomWalkConfig):
     if mode is WalkMode.UNIFORM:
-        return _UniformStepper.from_graph(g)
-    if mode is WalkMode.WEIGHTED:
-        return _AliasStepper.from_graph(g, g.edge_weights)
-    if mode is WalkMode.VERTEX_WEIGHTED:
-        target_weights = g.vertex_weights[g.indices]
-        return _AliasStepper.from_graph(g, target_weights)
+        return _UniformStepper(arrays["indptr"], arrays["indices"])
+    if mode in (WalkMode.WEIGHTED, WalkMode.VERTEX_WEIGHTED):
+        table = AliasTable(prob=arrays["prob"], alias=arrays["alias"])
+        return _AliasStepper(arrays["indptr"], arrays["indices"], table)
     if mode is WalkMode.NODE2VEC:
-        return _Node2VecStepper.from_graph(g, config.p, config.q)
-    return _TemporalStepper.from_graph(g, config.time_window)
+        return _Node2VecStepper(
+            arrays["indptr"], arrays["sorted_indices"], config.p, config.q
+        )
+    return _TemporalStepper(
+        arrays["indptr"],
+        arrays["sorted_indices"],
+        arrays["sorted_times"],
+        config.time_window,
+    )
 
 
 class _UniformStepper:
@@ -694,18 +492,13 @@ class _UniformStepper:
 
     Steppers take raw CSR arrays (not a :class:`Graph`) so chunk workers
     can rebuild them over shared-memory views without reassembling — or
-    pickling — the graph object; :meth:`from_graph` is the parent-side
-    convenience constructor.
+    pickling — the graph object (see :func:`_make_stepper`).
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
         self.indptr = indptr
         self.indices = indices
         self.degrees = np.diff(indptr)
-
-    @classmethod
-    def from_graph(cls, g: Graph) -> "_UniformStepper":
-        return cls(g.indptr, g.indices)
 
     def initial_state(self, num_walks: int) -> None:
         return None
@@ -742,7 +535,7 @@ class _UniformStepper:
 class _AliasStepper:
     """Weighted neighbor choice via flat per-vertex alias tables.
 
-    The table is built once (parent-side via :meth:`from_graph`, a
+    The table is built once per job (by :func:`_walk_arrays`, a
     Python-loop Vose construction) and shared with chunk workers as two
     flat arrays — workers must never rebuild it per chunk.
     """
@@ -759,10 +552,6 @@ class _AliasStepper:
         # we follow the uniform-degeneration convention from build_arc_alias
         # only when *some* weight is positive elsewhere; an all-zero row is
         # treated as uniform too, which keeps walks alive on such rows).
-
-    @classmethod
-    def from_graph(cls, g: Graph, arc_weights: np.ndarray) -> "_AliasStepper":
-        return cls(g.indptr, g.indices, build_arc_alias(g.indptr, arc_weights))
 
     def initial_state(self, num_walks: int) -> None:
         return None
@@ -813,16 +602,6 @@ class _TemporalStepper:
         self.window = time_window
         self.sorted_indices = sorted_indices
         self.sorted_times = sorted_times
-
-    @classmethod
-    def from_graph(cls, g: Graph, time_window: float | None) -> "_TemporalStepper":
-        order = _sort_rows_by_time(g.indptr, g.edge_times)
-        return cls(
-            g.indptr,
-            np.ascontiguousarray(g.indices[order]),
-            np.ascontiguousarray(g.edge_times[order]),
-            time_window,
-        )
 
     def initial_state(self, num_walks: int) -> np.ndarray:
         return np.full(num_walks, -np.inf)
@@ -878,18 +657,12 @@ class _Node2VecStepper:
         self.p = p
         self.q = q
         # Row-sorted adjacency for O(log deg) membership tests; the sort
-        # happens once in from_graph (or the exporting parent), never in
-        # chunk workers.
+        # happens once per job in _walk_arrays, never in chunk workers.
         self.sorted_indices = sorted_indices
         self.w_return = 1.0 / p
         self.w_triangle = 1.0
         self.w_explore = 1.0 / q
         self.w_max = max(self.w_return, self.w_triangle, self.w_explore)
-
-    @classmethod
-    def from_graph(cls, g: Graph, p: float, q: float) -> "_Node2VecStepper":
-        order = _sort_rows_by_value(g.indptr, g.indices)
-        return cls(g.indptr, np.ascontiguousarray(g.indices[order]), p, q)
 
     def initial_state(self, num_walks: int) -> np.ndarray:
         return np.full(num_walks, -1, dtype=np.int64)  # previous vertex

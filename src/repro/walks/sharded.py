@@ -47,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.context import ExecutionContext
 from repro.obs.recorder import current_recorder
 from repro.walks.corpus import WalkCorpus
 from repro.walks.engine import (
@@ -341,7 +342,7 @@ def generate_walks_sharded(
     store,
     config: RandomWalkConfig | None = None,
     *,
-    context=None,
+    context: ExecutionContext | None = None,
 ) -> WalkCorpus:
     """Generate the walk corpus from a :class:`GraphStore`, shard by shard.
 
@@ -358,9 +359,7 @@ def generate_walks_sharded(
     recompute, so resilience comes from the supervisor respawn ladder
     instead.
     """
-    from repro.pipeline.context import context_from_legacy
-
-    ctx = context_from_legacy(context)
+    ctx = context or ExecutionContext()
     config = config or RandomWalkConfig()
     mode = WalkMode(config.mode)
     _validate_store_mode(store, mode)
@@ -374,7 +373,7 @@ def generate_walks_sharded(
     workers = ctx.resolve_workers()
     num_shards = int(store.num_shards)
     concurrency = min(workers, num_shards)
-    shards_cap = getattr(ctx, "shards", None)
+    shards_cap = ctx.shards
     if shards_cap:
         concurrency = max(1, min(concurrency, int(shards_cap)))
 
@@ -497,14 +496,11 @@ def _run_exchange_loop(
     shared = None
     out = walks
     if use_pool:
-        from repro.parallel.shm import SHM_AVAILABLE, SharedArray
+        from repro.parallel.shm import SharedArray
 
-        if SHM_AVAILABLE:
-            shared = SharedArray.create((num_walks, walk_length), np.int64)
-            shared.array[:] = walks
-            out = shared.array
-        else:  # pragma: no cover - exotic platforms only
-            use_pool = False
+        shared = SharedArray.create((num_walks, walk_length), np.int64)
+        shared.array[:] = walks
+        out = shared.array
 
     rounds = 0
     exchanged = 0

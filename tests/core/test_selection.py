@@ -80,12 +80,20 @@ class TestSelectDimension:
         _best_free, scores_free = select_dimension(
             corpus, dims=(8, 64), k=3, config=FAST, seed=0
         )
-        best_penalized, _ = select_dimension(
-            corpus, dims=(8, 64), k=3, config=FAST, seed=0, time_penalty=10.0
+        penalty = 1e9  # dominates any silhouette gap (at most 2)
+        best, scores = select_dimension(
+            corpus, dims=(8, 64), k=3, config=FAST, seed=0, time_penalty=penalty
         )
-        # A huge time penalty must select the cheaper dimension.
-        cheapest = min(scores_free, key=lambda s: s.train_seconds).dim
-        assert best_penalized == cheapest
+        # Each score is the unpenalized criterion (deterministic: serial
+        # training is seeded) minus the penalty times its own run's time.
+        raw = {s.dim: s.score for s in scores_free}
+        for s in scores:
+            assert s.score == pytest.approx(
+                raw[s.dim] - penalty * s.train_seconds, rel=1e-12, abs=1e-9
+            )
+        # So the chosen dimension is the one that trained fastest in the
+        # same penalized run.
+        assert best == min(scores, key=lambda s: s.train_seconds).dim
 
     def test_validation(self, graph):
         with pytest.raises(ValueError):

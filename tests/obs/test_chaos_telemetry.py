@@ -6,6 +6,7 @@ import io
 import numpy as np
 import pytest
 
+from repro.context import ExecutionContext
 from repro.core.trainer import TrainConfig
 from repro.graph.generators import planted_partition
 from repro.obs.logging import parse_jsonl
@@ -13,7 +14,6 @@ from repro.obs.manifest import load_manifest
 from repro.obs.recorder import ObsConfig, session
 from repro.parallel.hogwild import (
     hogwild_epoch_task,
-    hogwild_supported,
     train_hogwild,
 )
 from repro.resilience.chaos import FaultInjector, InjectedFault
@@ -21,12 +21,7 @@ from repro.walks.engine import RandomWalkConfig, generate_walks
 
 from tests.parallel.test_shm import shm_entries
 
-pytestmark = [
-    pytest.mark.chaos,
-    pytest.mark.skipif(
-        not hogwild_supported(), reason="platform has no shared memory"
-    ),
-]
+pytestmark = pytest.mark.chaos
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +64,11 @@ class TestKilledWorker:
             metrics_out=str(manifest_path),
         )
         with session(cfg, run_config={"chaos": "worker-kill"}, stream=io.StringIO()):
-            result = train_hogwild(corpus, config, task_fn=injector)
+            result = train_hogwild(
+                corpus,
+                config,
+                context=ExecutionContext(fault_injector=lambda _fn: injector),
+            )
 
         assert (tmp_path / "fired").exists(), "fault never fired"
         assert result.epochs_run == config.epochs

@@ -5,8 +5,6 @@ import json
 import os
 import time
 
-import pytest
-
 from repro.cli import main
 from repro.obs.live import (
     STALE_AFTER,
@@ -20,14 +18,11 @@ from repro.obs.live import (
 )
 from repro.obs.recorder import ObsConfig, session
 from repro.obs.slab import HOGWILD_SLOTS, MetricsSlab
-from repro.parallel.hogwild import hogwild_supported
 from repro.parallel.shm import shared_arrays
 
 
 class TestSlabSpecJson:
     def test_roundtrip(self):
-        if not hogwild_supported():
-            pytest.skip("platform has no shared memory")
         with shared_arrays() as scope:
             shared = scope.create((2, len(HOGWILD_SLOTS)), "float64")
             slab = MetricsSlab.over(shared, HOGWILD_SLOTS)
@@ -200,9 +195,6 @@ class TestTopCommand:
         assert top_command(path, stream=out) == 0
         assert "run finished: completed" in out.getvalue()
 
-    @pytest.mark.skipif(
-        not hogwild_supported(), reason="platform has no shared memory"
-    )
     def test_renders_live_slab_rows(self, tmp_path):
         """A frame against a real shared slab another 'process' is writing."""
         path = tmp_path / "s.json"
@@ -254,9 +246,6 @@ class TestTopCommand:
         assert attach_status_slab(status) is None
 
 
-@pytest.mark.skipif(
-    not hogwild_supported(), reason="platform has no shared memory"
-)
 class TestLiveEndToEnd:
     def test_hogwild_run_keeps_status_current(self, tmp_path):
         """A real monitored run: session wiring, train fan-out, teardown."""

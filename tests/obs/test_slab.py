@@ -7,13 +7,9 @@ import pytest
 
 from repro.obs.slab import HOGWILD_SLOTS, MetricsSlab, MetricsSlabSpec
 from repro.parallel.pool import parallel_map
-from repro.parallel.shm import SHM_AVAILABLE, SharedArray
+from repro.parallel.shm import SharedArray
 
 from tests.parallel.test_shm import shm_entries
-
-pytestmark = pytest.mark.skipif(
-    not SHM_AVAILABLE, reason="platform has no multiprocessing.shared_memory"
-)
 
 SLOTS = ("batches", "examples", "loss_sum")
 

@@ -21,7 +21,6 @@ from repro.graph.generators import planted_partition
 from repro.ml import KMeans, pairwise_precision_recall
 from repro.parallel.hogwild import (
     hogwild_epoch_task,
-    hogwild_supported,
     train_hogwild,
 )
 from repro.pipeline import ExecutionContext
@@ -30,10 +29,6 @@ from repro.resilience.checkpoint import CheckpointManager
 from repro.walks.engine import RandomWalkConfig, generate_walks
 
 from tests.parallel.test_shm import shm_entries
-
-pytestmark = pytest.mark.skipif(
-    not hogwild_supported(), reason="platform has no shared memory"
-)
 
 
 @pytest.fixture(scope="module")
@@ -201,7 +196,9 @@ class TestChaos:
             once_marker=tmp_path / "fired",
         )
         config = TrainConfig(**TRAIN_CFG, workers=2)
-        result = train_hogwild(corpus, config, task_fn=injector)
+        result = train_hogwild(
+            corpus, config, context=ExecutionContext(fault_injector=lambda _fn: injector)
+        )
         assert (tmp_path / "fired").exists(), "fault never fired"
         assert result.epochs_run == config.epochs
         assert np.all(np.isfinite(result.vectors))

@@ -1,8 +1,13 @@
 """Tests for the fork-once worker pool and its one-owner contract."""
 
 import os
+import select
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +67,38 @@ def _pid_exists(pid):
     except ProcessLookupError:
         return False
     return True
+
+
+def _pid_running(pid):
+    """Alive and not a zombie waiting for an absent reaper."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    except OSError:
+        return _pid_exists(pid)
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+# Builds a 2-worker pool whose first map loses one worker (so the pool
+# holds a respawned worker too), prints the live worker pids, then idles.
+_ORPHAN_SCRIPT = """
+import os, sys, time
+from repro.parallel.pool import get_pool, parallel_map
+
+marker = sys.argv[1]
+
+def task(x):
+    if x == 0 and not os.path.exists(marker):
+        open(marker, "w").close()
+        os._exit(1)
+    return x
+
+assert parallel_map(task, list(range(6)), workers=2) == list(range(6))
+assert os.path.exists(marker)
+print(" ".join(str(w.process.pid) for w in get_pool(2)._workers), flush=True)
+time.sleep(120)
+"""
 
 
 @pytest.fixture()
@@ -170,6 +207,36 @@ class TestLifecycle:
             killer.join()
             shutdown_pools()
         assert out == [2 * x for x in range(200)]
+
+    def test_workers_exit_when_the_parent_is_killed(self, tmp_path):
+        """SIGKILL skips shutdown(); the workers must still go away."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")])
+        )
+        owner = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_SCRIPT, str(tmp_path / "fired")],
+            stdout=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+        try:
+            ready, _, _ = select.select([owner.stdout], [], [], 60.0)
+            line = owner.stdout.readline() if ready else ""
+            pids = [int(pid) for pid in line.split()]
+        finally:
+            owner.send_signal(signal.SIGKILL)
+            owner.wait()
+            owner.stdout.close()
+        assert len(pids) == 2, "owner never reported its workers"
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and any(map(_pid_running, pids)):
+            time.sleep(0.05)
+        survivors = [pid for pid in pids if _pid_running(pid)]
+        for pid in survivors:  # leave no strays behind a failing run
+            os.kill(pid, signal.SIGKILL)
+        assert survivors == [], f"workers outlived their parent: {survivors}"
 
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -8,14 +8,9 @@ import pytest
 
 from repro.parallel.pool import parallel_map
 from repro.parallel.shm import (
-    SHM_AVAILABLE,
     SharedArray,
     SharedArraySpec,
     shared_arrays,
-)
-
-pytestmark = pytest.mark.skipif(
-    not SHM_AVAILABLE, reason="platform has no multiprocessing.shared_memory"
 )
 
 SHM_DIR = Path("/dev/shm")

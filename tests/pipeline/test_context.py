@@ -1,4 +1,4 @@
-"""ExecutionContext: scoping, merging, checkpointing, legacy shims."""
+"""ExecutionContext: scoping, merging, checkpointing, the engine entry points."""
 
 from __future__ import annotations
 
@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.trainer import TrainConfig, train_embeddings
+from repro.graph.core import Graph
 from repro.pipeline import ExecutionContext, FingerprintMismatch
-from repro.pipeline.context import UNSET, context_from_legacy
 from repro.resilience.supervisor import SupervisorConfig
+from repro.walks.engine import RandomWalkConfig, generate_walks
 
 
 class TestConstruction:
@@ -115,32 +117,69 @@ class TestSeedTree:
         assert len(ExecutionContext(seed=0).spawn_seeds(4)) == 4
 
 
-class TestContextFromLegacy:
-    def test_unset_kwargs_are_dropped(self):
-        ctx = context_from_legacy(None, checkpoint_dir=UNSET, workers=UNSET)
-        assert ctx == ExecutionContext()
+@pytest.fixture(scope="module")
+def graph():
+    return Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
 
-    def test_workers_shorthand_is_warning_free(self):
+
+@pytest.fixture(scope="module")
+def walk_config():
+    return RandomWalkConfig(walks_per_vertex=2, walk_length=6, seed=0)
+
+
+@pytest.fixture(scope="module")
+def train_config():
+    return TrainConfig(dim=4, epochs=1, seed=0)
+
+
+class TestModernPathIsWarningFree:
+    """The context-based entry points never warn."""
+
+    def test_generate_walks(self, graph, walk_config, tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ctx = context_from_legacy(None, workers=4, checkpoint_dir=UNSET)
-        assert ctx.workers == 4
-
-    def test_deprecated_kwargs_warn(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="checkpoint_dir, resume"):
-            ctx = context_from_legacy(
-                None, checkpoint_dir=tmp_path, resume=True, workers=UNSET
+            generate_walks(graph, walk_config)
+            generate_walks(graph, walk_config, context=ExecutionContext(workers=2))
+            generate_walks(
+                graph,
+                walk_config,
+                context=ExecutionContext(checkpoint_dir=tmp_path),
             )
-        assert ctx.checkpoint_dir == tmp_path and ctx.resume is True
 
-    def test_context_plus_legacy_is_an_error(self, tmp_path):
+    def test_train_embeddings(self, graph, walk_config, train_config, tmp_path):
+        corpus = generate_walks(graph, walk_config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            train_embeddings(corpus, train_config)
+            train_embeddings(
+                corpus,
+                train_config,
+                context=ExecutionContext(checkpoint_dir=tmp_path),
+            )
+
+    def test_v2v_fit_with_context(self, graph, tmp_path):
+        from repro import V2V, V2VConfig
+
+        cfg = V2VConfig(dim=4, epochs=1, walks_per_vertex=2, walk_length=6, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            V2V(cfg).fit(graph, context=ExecutionContext(checkpoint_dir=tmp_path))
+
+
+class TestConflictingSettings:
+    def test_v2v_fit_context_plus_kwargs(self, graph, tmp_path):
+        from repro import V2V, V2VConfig
+
+        cfg = V2VConfig(dim=4, epochs=1, walks_per_vertex=2, walk_length=6, seed=0)
         with pytest.raises(TypeError, match="not both"):
-            context_from_legacy(
-                ExecutionContext(), checkpoint_dir=tmp_path, workers=UNSET
+            V2V(cfg).fit(
+                graph, context=ExecutionContext(), checkpoint_dir=tmp_path
             )
 
-    def test_explicit_context_passes_through(self):
-        ctx = ExecutionContext(workers=2)
-        assert (
-            context_from_legacy(ctx, checkpoint_dir=UNSET, workers=UNSET) is ctx
-        )
+    def test_engines_take_no_runtime_kwargs(self, graph, walk_config, tmp_path):
+        # Runtime settings travel only in the context.
+        with pytest.raises(TypeError):
+            generate_walks(graph, walk_config, checkpoint_dir=tmp_path)
+        corpus = generate_walks(graph, walk_config)
+        with pytest.raises(TypeError):
+            train_embeddings(corpus, TrainConfig(dim=4, epochs=1), resume=True)

@@ -21,7 +21,6 @@ from repro.obs.manifest import load_manifest
 from repro.obs.recorder import ObsConfig, session
 from repro.parallel.hogwild import (
     hogwild_epoch_task,
-    hogwild_supported,
     train_hogwild,
 )
 from repro.pipeline import ExecutionContext
@@ -31,12 +30,7 @@ from repro.walks.engine import RandomWalkConfig, generate_walks
 
 from tests.parallel.test_shm import shm_entries
 
-pytestmark = [
-    pytest.mark.chaos,
-    pytest.mark.skipif(
-        not hogwild_supported(), reason="platform has no shared memory"
-    ),
-]
+pytestmark = pytest.mark.chaos
 
 SUPERVISED = SupervisorConfig(
     worker_deadline=2.0, max_respawns=5, poll_interval=0.05
@@ -90,7 +84,11 @@ class TestHogwildKilledWorker:
         )
         cfg = ObsConfig(log_level="error", metrics_out=str(manifest_path))
         with session(cfg, run_config={"chaos": "kill"}, stream=io.StringIO()):
-            result = train_hogwild(corpus, _train_config(), task_fn=injector)
+            result = train_hogwild(
+                corpus,
+                _train_config(),
+                context=ExecutionContext(fault_injector=lambda _fn: injector),
+            )
 
         assert (tmp_path / "fired").exists(), "fault never fired"
         assert result.epochs_run == 3
@@ -117,7 +115,11 @@ class TestHogwildHungWorker:
         )
         cfg = ObsConfig(log_level="error", metrics_out=str(manifest_path))
         with session(cfg, run_config={"chaos": "hang"}, stream=io.StringIO()):
-            result = train_hogwild(corpus, _train_config(), task_fn=injector)
+            result = train_hogwild(
+                corpus,
+                _train_config(),
+                context=ExecutionContext(fault_injector=lambda _fn: injector),
+            )
 
         assert (tmp_path / "fired").exists(), "fault never fired"
         assert result.epochs_run == 3
@@ -131,7 +133,9 @@ class TestWalkWorkerKilled:
         self, graph, tmp_path, no_leaks
     ):
         config = RandomWalkConfig(walks_per_vertex=4, walk_length=20, seed=5)
-        baseline = generate_walks(graph, config, workers=2)
+        baseline = generate_walks(
+            graph, config, context=ExecutionContext(workers=2)
+        )
 
         manifest_path = tmp_path / "run.json"
         # Injected through the context's chaos hook: pool workers receive

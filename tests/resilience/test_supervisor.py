@@ -12,7 +12,6 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import Recorder, use
-from repro.parallel.shm import SHM_AVAILABLE
 from repro.resilience.chaos import FaultInjector
 from repro.parallel.pool import parallel_map
 from repro.resilience.supervisor import (
@@ -22,10 +21,6 @@ from repro.resilience.supervisor import (
 )
 
 from tests.parallel.test_shm import shm_entries
-
-pytestmark = pytest.mark.skipif(
-    not SHM_AVAILABLE, reason="platform has no shared memory"
-)
 
 FAST = dict(worker_deadline=10.0, max_respawns=5, poll_interval=0.02)
 

@@ -1,22 +1,23 @@
 """Frontier-batched walk stepping must be bitwise-identical to the
-masked reference loop (on dead-end-free graphs) and the shared-memory
-parallel path bitwise-identical to the legacy graph-pickling chunk
-worker — the contracts the PR7 batching rests on."""
+masked reference loop (on dead-end-free graphs), and the engine's
+chunked path bitwise-identical to the masked loop run over the same
+chunk plan and seeds — the contracts the frontier batching rests on."""
 
 import numpy as np
 import pytest
 
+from repro.context import ExecutionContext
 from repro.graph.core import EdgeList, Graph
+from repro.parallel.pool import chunk_bounds
+from repro.parallel.seeding import spawn_seeds
 from repro.walks.engine import (
     PAD,
     RandomWalkConfig,
     WalkMode,
-    _chunk_task,
-    _chunk_tasks,
-    _export_walk_arrays,
     _make_stepper,
     _step_walks_dense,
     _step_walks_masked,
+    _walk_arrays,
     generate_walks,
 )
 
@@ -42,7 +43,8 @@ def _dense_graph(n=120, out_deg=5, seed=0, weights=False, vweights=False):
 def _run_both(g, mode, **cfg_kwargs):
     """(masked, dense) walk matrices from identically seeded streams."""
     config = RandomWalkConfig(mode=mode, **cfg_kwargs)
-    stepper = _make_stepper(g, mode, config)
+    arrays, _dense = _walk_arrays(g, mode)
+    stepper = _make_stepper(config, arrays)
     starts = np.tile(np.arange(g.n, dtype=np.int64), 3)
     length = 25
 
@@ -50,7 +52,7 @@ def _run_both(g, mode, **cfg_kwargs):
     masked[:, 0] = starts
     _step_walks_masked(stepper, starts, masked, np.random.default_rng(11))
 
-    stepper2 = _make_stepper(g, mode, config)
+    stepper2 = _make_stepper(config, arrays)
     dense = _step_walks_dense(stepper2, starts, length, np.random.default_rng(11))
     return masked, dense
 
@@ -88,25 +90,15 @@ class TestDenseMatchesMasked:
 
 class TestExportDecidesDense:
     def test_dense_ok_for_full_out_degree(self):
-        from repro.parallel.shm import shared_arrays
-
-        with shared_arrays() as scope:
-            _specs, dense_ok = _export_walk_arrays(
-                _dense_graph(), WalkMode.UNIFORM, scope
-            )
-        assert dense_ok
+        _arrays, dense = _walk_arrays(_dense_graph(), WalkMode.UNIFORM)
+        assert dense
 
     def test_dead_ends_disable_dense(self):
-        from repro.parallel.shm import shared_arrays
-
         g = Graph(4, [(0, 1), (1, 2), (2, 3)], directed=True)  # 3 is a sink
-        with shared_arrays() as scope:
-            _specs, dense_ok = _export_walk_arrays(g, WalkMode.UNIFORM, scope)
-        assert not dense_ok
+        _arrays, dense = _walk_arrays(g, WalkMode.UNIFORM)
+        assert not dense
 
     def test_temporal_never_dense(self):
-        from repro.parallel.shm import shared_arrays
-
         rng = np.random.default_rng(0)
         src = np.repeat(np.arange(20, dtype=np.int64), 4)
         dst = rng.integers(0, 20, src.size).astype(np.int64)
@@ -115,15 +107,36 @@ class TestExportDecidesDense:
             EdgeList(src=src, dst=dst, times=rng.random(src.size)),
             directed=True,
         )
-        with shared_arrays() as scope:
-            _specs, dense_ok = _export_walk_arrays(g, WalkMode.TEMPORAL, scope)
-        assert not dense_ok
+        _arrays, dense = _walk_arrays(g, WalkMode.TEMPORAL)
+        assert not dense
+
+
+def _masked_reference(g, cfg, chunks):
+    """The masked reference loop over the engine's chunk plan and seeds."""
+    arrays, _dense = _walk_arrays(g, WalkMode(cfg.mode))
+    starts = np.tile(np.arange(g.n, dtype=np.int64), cfg.walks_per_vertex)
+    walks = np.full((starts.shape[0], cfg.walk_length), PAD, dtype=np.int64)
+    walks[:, 0] = starts
+    bounds = chunk_bounds(starts.shape[0], chunks)
+    for (lo, hi), seed in zip(bounds, spawn_seeds(cfg.seed, len(bounds))):
+        _step_walks_masked(
+            _make_stepper(cfg, arrays),
+            starts[lo:hi],
+            walks[lo:hi],
+            np.random.default_rng(seed),
+        )
+    return walks
+
+
+def _pooled(g, cfg):
+    return generate_walks(g, cfg, context=ExecutionContext(workers=2)).walks
 
 
 class TestParallelMatchesLegacyChunks:
-    """The shm fan-out must reproduce the legacy chunk worker bit for bit
-    for a fixed (seed, workers) — batching is an implementation detail,
-    not an output change."""
+    """The pooled chunk path must reproduce the masked reference loop
+    run chunk by chunk, bit for bit, for a fixed (seed, chunk count) —
+    shared memory and frontier batching are implementation details, not
+    output changes."""
 
     @pytest.mark.parametrize(
         "mode,kwargs,weights,vweights",
@@ -139,21 +152,17 @@ class TestParallelMatchesLegacyChunks:
         cfg = RandomWalkConfig(
             walks_per_vertex=3, walk_length=15, mode=mode, seed=7, **kwargs
         )
-        got = generate_walks(g, cfg, workers=2).walks
-        legacy = np.vstack([_chunk_task(t) for t in _chunk_tasks(g, cfg, 2)])
-        np.testing.assert_array_equal(got, legacy)
+        np.testing.assert_array_equal(_pooled(g, cfg), _masked_reference(g, cfg, 2))
 
     def test_dead_end_fallback_bitwise(self):
         # Some vertices have no out-arcs: workers must take the masked
-        # fallback and still match the legacy result exactly.
+        # loop and still match the reference exactly.
         rng = np.random.default_rng(3)
         src = np.repeat(np.arange(40, dtype=np.int64), 3)
         dst = rng.integers(0, 80, src.size).astype(np.int64)  # 40..79 are sinks
         g = Graph(80, EdgeList(src=src, dst=dst), directed=True)
         cfg = RandomWalkConfig(walks_per_vertex=3, walk_length=15, seed=7)
-        got = generate_walks(g, cfg, workers=2).walks
-        legacy = np.vstack([_chunk_task(t) for t in _chunk_tasks(g, cfg, 2)])
-        np.testing.assert_array_equal(got, legacy)
+        np.testing.assert_array_equal(_pooled(g, cfg), _masked_reference(g, cfg, 2))
 
     def test_temporal_bitwise(self):
         rng = np.random.default_rng(5)
@@ -171,9 +180,7 @@ class TestParallelMatchesLegacyChunks:
             time_window=4.0,
             seed=7,
         )
-        got = generate_walks(g, cfg, workers=2).walks
-        legacy = np.vstack([_chunk_task(t) for t in _chunk_tasks(g, cfg, 2)])
-        np.testing.assert_array_equal(got, legacy)
+        np.testing.assert_array_equal(_pooled(g, cfg), _masked_reference(g, cfg, 2))
 
     def test_out_of_range_start_raises_in_parent(self):
         g = _dense_graph(n=10)
@@ -184,4 +191,4 @@ class TestParallelMatchesLegacyChunks:
             start_vertices=np.asarray([0, 99]),
         )
         with pytest.raises(ValueError, match="start vertex out of range"):
-            generate_walks(g, cfg, workers=2)
+            generate_walks(g, cfg, context=ExecutionContext(workers=2))

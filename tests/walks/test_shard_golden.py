@@ -25,9 +25,9 @@ import os
 import numpy as np
 import pytest
 
+from repro.context import ExecutionContext
 from repro.graph.generators import planted_partition
 from repro.graph.store import GraphStore
-from repro.pipeline.context import ExecutionContext
 from repro.walks.engine import RandomWalkConfig
 from repro.walks.sharded import generate_walks_sharded
 

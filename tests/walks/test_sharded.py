@@ -11,10 +11,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.context import ExecutionContext
 from repro.datasets.synthetic import community_benchmark
 from repro.graph.core import EdgeList, Graph
 from repro.graph.store import GraphStore
-from repro.pipeline.context import ExecutionContext
 from repro.walks.engine import PAD, RandomWalkConfig, WalkMode, generate_walks
 from repro.walks.sharded import generate_walks_sharded, hash_uniform
 

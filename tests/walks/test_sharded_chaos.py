@@ -14,22 +14,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.context import ExecutionContext
 from repro.datasets.synthetic import community_benchmark
 from repro.graph.store import GraphStore
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import Recorder, use
-from repro.parallel.shm import SHM_AVAILABLE
-from repro.pipeline.context import ExecutionContext
 from repro.resilience.chaos import FaultInjector
 from repro.resilience.supervisor import SupervisorConfig
 from repro.walks.engine import RandomWalkConfig
 from repro.walks.sharded import generate_walks_sharded
 
 from tests.parallel.test_shm import shm_entries
-
-pytestmark = pytest.mark.skipif(
-    not SHM_AVAILABLE, reason="platform has no shared memory"
-)
 
 FAST = SupervisorConfig(worker_deadline=10.0, max_respawns=5, poll_interval=0.02)
 
